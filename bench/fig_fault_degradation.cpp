@@ -8,7 +8,7 @@
 // competes for the same links — the saturation knee of the Section 5.3
 // study moves left. This bench quantifies both on an 8x8 torus: a
 // (drop rate x offered load) grid, every point byte-identical at any
-// --sim-threads value because fault decisions are pure hashes of
+// --threads value because fault decisions are pure hashes of
 // (plan seed, injection id, attempt).
 //
 // The grid doubles as the checkpoint/resume exemplar: with
@@ -101,7 +101,6 @@ PacketSimResult decode_result(const std::string& text) {
 int main(int argc, char** argv) {
   using namespace logp;
   const int threads = exp::threads_from_args(argc, argv);
-  const int sim_threads = exp::sim_threads_from_args(argc, argv);
   const std::string ckpt_dir =
       exp::string_from_args(argc, argv, "--checkpoint-dir");
   const bool resume = exp::bool_from_args(argc, argv, "--resume");
@@ -110,7 +109,7 @@ int main(int argc, char** argv) {
   const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
   if (const int rc = exp::reject_unknown_flags(
           argc, argv,
-          "[--threads N] [--sim-threads N] [--checkpoint-dir DIR] [--resume] "
+          "[--threads N] [--checkpoint-dir DIR] [--resume] "
           "[--crash-after N] [--profile] [--trace-json FILE] "
           "[--metrics-csv FILE] [--links-csv FILE]"))
     return rc;
@@ -129,7 +128,6 @@ int main(int argc, char** argv) {
 
   net::PacketSimConfig base;
   base.duration = 30000;
-  base.sim_threads = sim_threads;
   const Cycles retry_timeout = 4 * net::lookahead(base);
 
   // One immutable plan per drop rate, built up front so the job lambdas can
@@ -156,7 +154,7 @@ int main(int argc, char** argv) {
       });
     }
 
-  const exp::SweepRunner runner({threads, sim_threads});
+  const exp::SweepRunner runner({threads});
   std::vector<net::PacketSimResult> results;
   if (!ckpt_dir.empty()) {
     exp::CheckpointStore store(ckpt_dir, "fig_fault_degradation");

@@ -49,14 +49,13 @@ struct Scenario {
   const fault::FaultPlan* faults = nullptr;
 };
 
-net::PacketSimConfig scenario_config(const Scenario& s, int sim_threads) {
+net::PacketSimConfig scenario_config(const Scenario& s) {
   net::PacketSimConfig cfg;
   cfg.pattern = s.pattern;
   cfg.injection_rate = s.load;
   cfg.duration = s.duration;
   cfg.warmup = s.duration / 10;
   cfg.drain_limit = 20 * s.duration;
-  cfg.sim_threads = sim_threads;
   cfg.faults = s.faults;
   return cfg;
 }
@@ -83,7 +82,6 @@ void print_rows(util::TablePrinter& tp, const std::vector<Scenario>& grid,
 
 int main(int argc, char** argv) {
   const int threads = exp::threads_from_args(argc, argv);
-  const int sim_threads = exp::sim_threads_from_args(argc, argv);
   // --ci: the P = 4096 slice with short windows, sized for the smoke lane.
   const bool ci = exp::bool_from_args(argc, argv, "--ci");
   // Packet-level obs subset: the sinks attach to one exemplar re-run (the
@@ -92,7 +90,7 @@ int main(int argc, char** argv) {
   const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
   if (const int rc = exp::reject_unknown_flags(
           argc, argv,
-          "[--threads N] [--sim-threads N] [--ci] [--profile] "
+          "[--threads N] [--ci] [--profile] "
           "[--trace-json FILE] [--metrics-csv FILE] [--links-csv FILE]"))
     return rc;
   if (const int rc = obs::reject_machine_only_flags(obs_flags, argv[0]))
@@ -151,10 +149,9 @@ int main(int argc, char** argv) {
   std::vector<std::function<net::PacketSimResult()>> jobs;
   jobs.reserve(grid.size());
   for (const Scenario& s : grid)
-    jobs.push_back([&s, sim_threads] {
-      return net::run_packet_sim(*s.topo, scenario_config(s, sim_threads));
-    });
-  const exp::SweepRunner runner({threads, sim_threads});
+    jobs.push_back(
+        [&s] { return net::run_packet_sim(*s.topo, scenario_config(s)); });
+  const exp::SweepRunner runner({threads});
   const auto results = runner.map(jobs);
 
   util::TablePrinter tp({"scenario", "P", "load", "injected", "mean lat",
@@ -178,10 +175,10 @@ int main(int argc, char** argv) {
   for (const auto* t :
        {grid[0].topo.get(), grid[1].topo.get()})
     std::cout << "  " << t->name() << ": " << t->diameter_hops() << '\n';
-  std::cout << "\nEvery row above is byte-identical at any --threads /\n"
-               "--sim-threads value, and with SIMD kernels on or off —\n"
-               "the canonical (time, injection-id) order pins the\n"
-               "trajectory; batching only changes wall-clock time.\n";
+  std::cout << "\nEvery row above is byte-identical at any --threads\n"
+               "value, and with SIMD kernels on or off — the canonical\n"
+               "(time, injection-id) order pins the trajectory; batching\n"
+               "only changes wall-clock time.\n";
 
   if (obs_flags.any()) {
     // Exemplar: the degraded fault point (the most telemetry-interesting
@@ -190,7 +187,7 @@ int main(int argc, char** argv) {
     obs::NetTelemetry tel;
     tel.sample_every = 100;
     obs::MetricsRegistry metrics;
-    net::PacketSimConfig cfg = scenario_config(ex, sim_threads);
+    net::PacketSimConfig cfg = scenario_config(ex);
     cfg.telemetry = &tel;
     cfg.metrics = &metrics;
     (void)net::run_packet_sim(*ex.topo, cfg);

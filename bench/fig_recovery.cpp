@@ -26,7 +26,7 @@
 // cell also demonstrates the collective completing over the survivors
 // (re-fed after the epoch bump) and the revived rank being re-admitted in a
 // strictly later epoch. Everything here is deterministic: the whole stdout
-// is byte-identical at any --sim-threads value (CI diffs serial vs 4).
+// is byte-identical at any --threads value.
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -228,10 +228,9 @@ RecoveryCell run_recovery_cell(Cycles kill_at, Cycles outage,
 
 int main(int argc, char** argv) {
   const int threads = exp::threads_from_args(argc, argv);
-  const int sim_threads = exp::sim_threads_from_args(argc, argv);
   const bool ci = exp::bool_from_args(argc, argv, "--ci");
   if (const int rc = exp::reject_unknown_flags(
-          argc, argv, "[--ci] [--threads N] [--sim-threads N]"))
+          argc, argv, "[--ci] [--threads N]"))
     return rc;
 
   std::vector<std::string> failures;
@@ -288,7 +287,6 @@ int main(int argc, char** argv) {
   const auto torus = net::make_mesh2d(8, 8, true);
   net::PacketSimConfig base;
   base.injection_rate = 0.05;
-  base.sim_threads = sim_threads;
   const Cycles kill_at = 12000;
   const Cycles retry_timeout = 4 * net::lookahead(base);
   const std::vector<Cycles> link_outages =
@@ -328,7 +326,7 @@ int main(int argc, char** argv) {
     add(kill_at + dt + 2000, 6000, nullptr, false);
     add(kill_at + dt + 2000, 6000, fp, true);
   }
-  const exp::SweepRunner runner({threads, sim_threads});
+  const exp::SweepRunner runner({threads});
   const std::vector<net::PacketSimResult> results = runner.map(jobs);
 
   std::cout << "== Packet network: links 0<->1 of an 8x8 torus dead for "

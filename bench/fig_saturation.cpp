@@ -21,6 +21,7 @@
 #include "net/topology.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/cli.hpp"
+#include "obs/metrics.hpp"
 #include "obs/net_telemetry.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
@@ -31,18 +32,19 @@ namespace {
 /// the summary table cannot show: which links pin at 100% busy beyond the
 /// knee, and how network occupancy compares with the LogP capacity bound.
 /// Re-running is cheap and keeps the sweep itself sink-free (a parallel
-/// sweep must not share observers).
+/// sweep must not share observers). The engine's introspection counters
+/// accumulate into `metrics` across the exemplar points.
 void profile_point(const logp::net::Topology& topo, double load,
-                   int sim_threads, logp::obs::ChromeTraceWriter* trace_writer,
-                   int pid) {
+                   logp::obs::ChromeTraceWriter* trace_writer, int pid,
+                   logp::obs::MetricsRegistry& metrics) {
   using namespace logp;
   net::PacketSimConfig cfg;
   cfg.duration = 30000;
   cfg.injection_rate = load;
-  cfg.sim_threads = sim_threads;
   obs::NetTelemetry telem;
   telem.sample_every = 500;
   cfg.telemetry = &telem;
+  cfg.metrics = &metrics;
   const auto r = net::run_packet_sim(topo, cfg);
 
   std::cout << "-- telemetry: " << topo.name() << " @ load " << util::fmt(load, 4)
@@ -64,18 +66,17 @@ void profile_point(const logp::net::Topology& topo, double load,
 int main(int argc, char** argv) {
   using namespace logp;
   const int threads = exp::threads_from_args(argc, argv);
-  // Intra-simulation threads for the bounded-lag engine. Output — including
-  // the --profile telemetry — is byte-identical for any value (CI diffs
-  // --sim-threads 1 against 4); only wall-clock time changes.
-  const int sim_threads = exp::sim_threads_from_args(argc, argv);
   // --profile re-runs an exemplar stable and saturated grid point with link
   // telemetry; --trace-json FILE writes their in-flight occupancy as Chrome
-  // trace counter tracks. Defaults off: the summary tables stay byte-stable.
+  // trace counter tracks, --metrics-csv FILE their engine counters. Defaults
+  // off: the summary tables stay byte-stable.
   const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
   if (const int rc = exp::reject_unknown_flags(
           argc, argv,
-          "[--threads N] [--sim-threads N] [--trace] [--profile] "
-          "[--trace-json FILE] [--metrics-csv FILE]"))
+          "[--threads N] [--profile] [--trace-json FILE] "
+          "[--metrics-csv FILE]"))
+    return rc;
+  if (const int rc = obs::reject_machine_only_flags(obs_flags, argv[0]))
     return rc;
   std::cout << "== Section 5.3: latency vs offered load (packet-level) ==\n\n";
 
@@ -93,16 +94,13 @@ int main(int argc, char** argv) {
   std::vector<std::function<net::PacketSimResult()>> jobs;
   for (const auto& topo : topos)
     for (const double load : loads)
-      jobs.push_back([&topo, load, sim_threads] {
+      jobs.push_back([&topo, load] {
         net::PacketSimConfig cfg;
         cfg.duration = 30000;
         cfg.injection_rate = load;
-        cfg.sim_threads = sim_threads;
         return net::run_packet_sim(*topo, cfg);
       });
-  // Declare the intra-job parallelism so outer x inner stays within the
-  // machine (the explicit nesting policy of SweepOptions).
-  const exp::SweepRunner runner({threads, sim_threads});
+  const exp::SweepRunner runner({threads});
   const auto results = runner.map(jobs);
 
   std::size_t job = 0;
@@ -138,20 +136,24 @@ int main(int argc, char** argv) {
                "(at most ceil(L/g) messages per endpoint) is what keeps\n"
                "programs out of the divergent regime.\n";
 
-  if (obs_flags.profile || !obs_flags.trace_json.empty()) {
+  if (obs_flags.profile || !obs_flags.trace_json.empty() ||
+      !obs_flags.metrics_csv.empty()) {
     // The 8x8 mesh (no torus) has the sharpest knee in the grid above:
     // profile it just below (0.008) and beyond (0.064) the saturation point.
     obs::ChromeTraceWriter writer;
     obs::ChromeTraceWriter* w =
         obs_flags.trace_json.empty() ? nullptr : &writer;
+    obs::MetricsRegistry metrics;
     const auto mesh = net::make_mesh2d(8, 8, false);
     std::cout << '\n';
-    profile_point(*mesh, 0.008, sim_threads, w, 0);
-    profile_point(*mesh, 0.064, sim_threads, w, 1);
+    profile_point(*mesh, 0.008, w, 0, metrics);
+    profile_point(*mesh, 0.064, w, 1, metrics);
     std::cout << "The knee is a link story: at 0.064 the mesh's center links\n"
                  "run pinned at ~100% busy and queue wait dominates latency,\n"
                  "while at 0.008 every link still serves arrivals promptly.\n";
     if (w != nullptr) obs::write_file(obs_flags.trace_json, writer.str());
+    if (!obs_flags.metrics_csv.empty())
+      obs::write_file(obs_flags.metrics_csv, metrics.to_csv());
   }
   return 0;
 }

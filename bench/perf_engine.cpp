@@ -93,11 +93,10 @@ BENCHMARK(BM_AllToAll)->Arg(16)->Arg(64);
 /// both the low-occupancy and the deep-queue paths are timed.
 ///
 /// LOGP_PERF_OBS=1 attaches a MetricsRegistry (the engine-introspection
-/// sink) to every run. Like BM_PacketSimPar's LOGP_SIM_THREADS, the toggle
-/// is an env var rather than an Arg so the benchmark NAME stays identical —
-/// tools/bench_record.py --compare can gate the recorder-attached run
-/// against a recorder-off baseline of the same BM_PacketSim/200 row (CI
-/// asserts within 10%).
+/// sink) to every run. The toggle is an env var rather than an Arg so the
+/// benchmark NAME stays identical — tools/bench_record.py --compare can
+/// gate the recorder-attached run against a recorder-off baseline of the
+/// same BM_PacketSim/200 row (CI asserts within 10%).
 void BM_PacketSim(benchmark::State& state) {
   const char* env = std::getenv("LOGP_PERF_OBS");
   const bool obs_on = env != nullptr && std::atoi(env) != 0;
@@ -168,34 +167,6 @@ void BM_PacketSimLargeP(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * delivered);
 }
 BENCHMARK(BM_PacketSimLargeP);
-
-/// Bounded-lag parallel packet simulator on a workload big enough to
-/// amortize window dispatch: 32x32 torus (1024 endpoints, 4096 links)
-/// in the stable regime. Thread count comes from LOGP_SIM_THREADS (default
-/// 4) rather than an Arg so the benchmark NAME is identical across
-/// snapshots — tools/bench_record.py --compare can then gate the parallel
-/// engine against a serial (LOGP_SIM_THREADS=1) baseline of the same
-/// benchmark. Results are byte-identical at every thread count; only
-/// items/sec may move.
-void BM_PacketSimPar(benchmark::State& state) {
-  const char* env = std::getenv("LOGP_SIM_THREADS");
-  const int sim_threads = env != nullptr ? std::atoi(env) : 4;
-  const auto topo = net::make_mesh2d(32, 32, true);
-  net::PacketSimConfig cfg;
-  cfg.injection_rate = 0.01;
-  cfg.warmup = 2000;
-  cfg.duration = 10000;
-  cfg.sim_threads = sim_threads;
-  std::int64_t delivered = 0;
-  for (auto _ : state) {
-    const auto r = net::run_packet_sim(*topo, cfg);
-    delivered = r.delivered;
-    benchmark::DoNotOptimize(delivered);
-  }
-  state.SetItemsProcessed(state.iterations() * delivered);
-  state.counters["sim_threads"] = sim_threads;
-}
-BENCHMARK(BM_PacketSimPar);
 
 /// Message + timed-call churn on the raw machine: proc 0 streams messages at
 /// proc 1 while every completion schedules a short timed continuation, so

@@ -97,10 +97,6 @@ int threads_from_args(int& argc, char** argv, int def) {
   return consume_int_flag(argc, argv, "--threads", def);
 }
 
-int sim_threads_from_args(int& argc, char** argv, int def) {
-  return consume_int_flag(argc, argv, "--sim-threads", def);
-}
-
 int int_from_args(int& argc, char** argv, const char* flag, int def) {
   return consume_int_flag(argc, argv, flag, def);
 }

@@ -6,16 +6,17 @@
 // hash of the plan's seed and the canonical identity of the thing being
 // decided — a packet's injection id and attempt number, a message's
 // injection sequence number, a link's endpoints. No RNG stream is consumed
-// and no wall-clock or scheduling order is observed, so any thread of
-// either engine can evaluate a decision locally and all of them agree.
-// That is the property that keeps faulted runs byte-identical at every
-// sim_threads value (see DESIGN.md "Fault model").
+// and no wall-clock or scheduling order is observed, so a decision can be
+// evaluated anywhere, in any order, and always agrees. That is the property
+// that keeps faulted runs byte-identical across the packet engine's window
+// kernels and SIMD settings (see DESIGN.md "Fault model").
 //
 // Faults are keyed on injection id rather than processing order because the
-// parallel packet engine does not *have* a global processing order — shards
-// interleave arbitrarily inside a window. The injection id is the packet's
-// index in the (born, src)-sorted injection array, a total order both
-// engines share by construction.
+// packet engine's batch kernels do not process a window in event order —
+// verdicts are hashed up front for the whole window, and survivors are
+// grouped by link. The injection id is the packet's index in the
+// (born, src)-sorted injection array, a total order every kernel shares by
+// construction.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +30,7 @@ namespace logp::fault {
 /// A directed link (u -> v) that misbehaves during [from, to).
 /// degrade == 0 kills the link: packets attempting the traversal are
 /// dropped (and retried, if the plan retransmits). degrade > 1 multiplies
-/// the link's service time — a slow link never violates the parallel
+/// the link's service time — a slow link never violates the packet
 /// engine's lookahead, because service only grows.
 struct LinkFault {
   int u = 0;
@@ -70,8 +71,9 @@ struct FaultPlan {
   /// Retransmission: a dropped or corrupted attempt is re-dispatched from
   /// hop 0 this many cycles after the loss, up to max_retries times.
   /// 0 disables retransmission (losses are final). When nonzero it must be
-  /// >= net::lookahead(cfg): the retry is a self-interaction of the packet,
-  /// and the bounded-lag engine only guarantees causality one lookahead out.
+  /// >= net::lookahead(cfg), so the retry lands in a later window than the
+  /// loss: the packet engine fixes a window's population when it opens, and
+  /// a retry pushed into the window being processed would be lost.
   Cycles retry_timeout = 0;
   int max_retries = 0;
   /// Per-packet injection delay, uniform-by-hash in [0, max_injection_delay]

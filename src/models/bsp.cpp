@@ -18,15 +18,15 @@ Cycles BspMachine::superstep(const Step& step) {
   std::vector<std::int64_t> received(static_cast<std::size_t>(P_), 0);
 
   Cycles max_work = 0;
-  std::vector<Msg> outbox;
+  std::vector<Msg> sends;
   for (ProcId p = 0; p < P_; ++p) {
-    outbox.clear();
-    const Cycles work = step(p, inboxes_[static_cast<std::size_t>(p)], outbox);
+    sends.clear();
+    const Cycles work = step(p, inboxes_[static_cast<std::size_t>(p)], sends);
     LOGP_CHECK(work >= 0);
     max_work = std::max(max_work, work);
     sent[static_cast<std::size_t>(p)] =
-        static_cast<std::int64_t>(outbox.size());
-    for (Msg m : outbox) {
+        static_cast<std::int64_t>(sends.size());
+    for (Msg m : sends) {
       LOGP_CHECK_MSG(m.dst >= 0 && m.dst < P_, "BSP message to bad proc");
       m.src = p;
       ++received[static_cast<std::size_t>(m.dst)];

@@ -31,11 +31,11 @@ class BspMachine {
   };
 
   /// Superstep body for one processor: consume `inbox` (messages sent to it
-  /// in the previous superstep), append sends to `outbox`, and return the
+  /// in the previous superstep), append messages to `sends`, and return the
   /// local computation cost in cycles.
   using Step =
       std::function<Cycles(ProcId p, const std::vector<Msg>& inbox,
-                           std::vector<Msg>& outbox)>;
+                           std::vector<Msg>& sends)>;
 
   BspMachine(int P, Cycles g_bsp, Cycles l_barrier);
 

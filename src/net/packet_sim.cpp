@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -13,15 +12,13 @@
 #include "util/check.hpp"
 #include "util/event_heap.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace logp::net {
 
 namespace {
 
-// The engine below is a windowed batch design shared by the serial and the
-// bounded-lag parallel paths: time advances in aligned windows of width
-// `service` (= lookahead), every pending event of a window is gathered into
+// The engine below is a serial windowed batch design: time advances in
+// aligned windows of width `service` (= lookahead), every pending event of a window is gathered into
 // one dense buffer, sorted once by a packed (time, injection-id) key, and
 // processed in batch — same-link events are grouped so channel arbitration
 // amortizes its min-scan (SIMD first-minimum over the channel span), and
@@ -34,13 +31,12 @@ namespace {
 // Event order is canonical: every event is keyed (time, injection id),
 // where the injection id is the packet's index in the (born, src)-sorted
 // injection array. A packet has at most one pending event, so this is a
-// total order, and — unlike a global pop-sequence counter — it can be
-// evaluated by any thread without knowing the full dispatch history. The
+// total order, and — unlike a global pop-sequence counter — it is
+// independent of how a kernel batches the events of a window. The
 // per-window sort realizes exactly this order; per-link event subsequences
-// (the only place state is shared) are therefore identical however the
-// windows are partitioned across shards, which is what keeps serial,
-// parallel, SIMD-on and SIMD-off runs byte-identical (pinned goldens in
-// tests/test_packet_sim.cpp).
+// (the only place state is shared) are therefore identical whichever kernel
+// processes a window, which is what keeps SIMD-on and SIMD-off runs
+// byte-identical (pinned goldens in tests/test_packet_sim.cpp).
 
 constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
 constexpr std::int64_t kNoWindow = std::numeric_limits<std::int64_t>::max();
@@ -67,7 +63,7 @@ struct WEvent {
   std::uint16_t attempt;  ///< fault-plan retransmission count
 };
 
-/// Out-of-window event: spill-heap entry and cross-shard handoff record.
+/// Out-of-window event: frame-wheel and spill-heap entry.
 struct PEvent {
   Cycles t;
   std::int32_t inj;
@@ -88,10 +84,10 @@ struct SpillBefore {
 /// in-flight walk and cumulative retransmit series.
 enum class DKind : std::uint8_t { kDelivered, kLost, kRetry };
 
-/// A packet outcome record, written by the shard that processed the event.
-/// Per-shard lists are (t, inj)-sorted by construction — windows advance
-/// monotonically and each window processes in (t, inj) order — so the
-/// reduction pass merges them without sorting.
+/// A packet outcome record, written by the kernel that processed the event.
+/// The list is (t, inj)-sorted by construction — windows advance
+/// monotonically and each window records in (t, inj) order — so the
+/// reduction pass walks it without sorting.
 struct Delivery {
   Cycles t;
   std::int32_t inj;
@@ -155,8 +151,8 @@ class PairIndex {
 /// Directed links: dense per-link channel spans in one shared buffer,
 /// discovered when a route first touches them. channel[i] holds the cycle
 /// at which channel i frees. All links are resolved in the pre-pass, so the
-/// table is structurally immutable while the engine runs — the parallel
-/// engine's shards mutate only the channel cells of links they own.
+/// table is structurally immutable while the engine runs — only channel
+/// cells change.
 class LinkTable {
  public:
   std::int32_t resolve(const Topology& topo, int u, int v) {
@@ -277,9 +273,9 @@ struct RouteRef {
 /// Consecutive epochs with identical link sequences share one span, so
 /// "the route changed" is a pointer comparison — the test both the engine's
 /// retry recommit and the canonical replay make, which keeps the reroute
-/// count byte-identical at every sim_threads and SIMD setting. Everything
-/// is resolved before the engine starts; detour links enter the link table
-/// in the same deterministic first-touch order at any thread count.
+/// count byte-identical at every SIMD setting. Everything is resolved
+/// before the engine starts; detour links enter the link table in a
+/// deterministic first-touch order.
 class EpochRouter {
  public:
   EpochRouter(const Topology& topo, const fault::FaultPlan& fp,
@@ -527,109 +523,28 @@ struct WindowDiv {
 constexpr int kWheelBits = 6;
 constexpr int kWheel = 1 << kWheelBits;  ///< 64 windows resident at once
 
-/// Per-worker state. A shard owns a subset of the links (see
-/// assign_link_shards): only it reads or writes their channel cells, so
-/// window execution needs no locks at all.
-struct Shard {
-  std::vector<WEvent> bucket[kWheel];  ///< time wheel, index = window & 63
-  std::uint64_t nonempty = 0;          ///< bit (w & 63) set when bucket used
-  /// Second-level wheel: 64 frames of 64 windows each. An event past the
-  /// first wheel's horizon but within 64 frames is staged unsorted in its
-  /// frame bucket (O(1)) and re-pushed into the first wheel when the
-  /// engine's current window enters that frame — every event moves at most
-  /// twice, where the spill heap charged O(log n) twice on a structure
-  /// that grows with the whole backlog. Deep link queues and retransmit
-  /// timeouts put a large fraction of pushes past the first horizon, so
-  /// this is the difference between O(1) and O(log backlog) per event
-  /// exactly on saturated and faulted runs.
-  std::vector<PEvent> frame[kWheel];  ///< index = (window >> 6) & 63
-  std::uint64_t frame_nonempty = 0;   ///< bit ((w >> 6) & 63) set when used
-  std::int64_t cur_frame = 0;         ///< frame of the last entered window
-  util::FourAryHeap<PEvent, SpillBefore> spill;  ///< past both wheels
-  std::vector<std::int32_t> inj_ids;  ///< injections whose first link we own
-  std::size_t next_inj = 0;
-  std::vector<Delivery> deliveries;
-  std::vector<obs::LinkTelemetry> link_acc;  ///< only owned ids ever touched
-  /// Double-buffered cross-shard staging: during a round of parity p each
-  /// shard appends handoffs to outbox[p][dst]; at the start of round p+1
-  /// the destination drains every shard's outbox[p][self]. Producer and
-  /// consumer therefore never touch the same buffer in the same round —
-  /// the for_index barrier between rounds is the only synchronization.
-  std::vector<std::vector<PEvent>> outbox[2];
-  // Window scratch (capacities persist across windows; no steady-state
-  // allocation). link_mark packs (epoch << 32 | head index) so per-window
-  // chain reset is one epoch bump instead of an O(links) clear.
-  std::vector<std::int32_t> chain_next;
-  std::vector<std::int32_t> touched;
-  std::vector<std::uint64_t> mask_words;
-  // Faulted batch-kernel scratch: staged event identities, the vectorized
-  // fault-verdict bitmask, and the per-event link-degrade memo (written in
-  // pass 1, read again for the service span in pass 2 so link_degrade runs
-  // exactly once per event, as in the ordered kernel).
-  std::vector<std::uint64_t> verdict_words;
-  std::vector<std::uint32_t> stage_inj;
-  std::vector<std::uint16_t> stage_att;
-  std::vector<std::int32_t> stage_deg;
-  fault::FaultPlan::VerdictScratch vscratch;
-  std::vector<WEvent> sorted;          ///< counting-sort output buffer
-  std::vector<WEvent> sorted2;         ///< radix-sort ping-pong buffer
-  std::vector<std::uint32_t> dt_pos;   ///< counting-sort group cursors
-  std::vector<std::uint32_t> hist_last;  ///< radix last-pass histogram
-  std::vector<std::uint64_t> link_mark;
-  std::vector<std::int32_t> link_tail;
-  std::uint32_t epoch = 0;
-  Cycles last_t = 0;  ///< latest event processed (horizon contribution)
-  std::int64_t next_w = kNoWindow;    ///< earliest pending window after this
-  std::int64_t staged_w = kNoWindow;  ///< earliest window staged to others
-  bool trunc = false;  ///< discarded events beyond the drain limit
-  // Fault counters: plain event counts, so summing per-shard integers is
-  // order-free and thread-count invariant.
-  std::int64_t dropped = 0;
-  std::int64_t corrupted = 0;
-  // Engine introspection (PacketSimConfig::metrics), accumulated
-  // unconditionally — plain integer adds on paths that already touch the
-  // same cache lines — and published once, cold, after the run.
-  std::int64_t wheel_pushes = 0;   ///< events staged through the wheel
-  std::int64_t wheel_peak = 0;     ///< max single-bucket occupancy seen
-  std::int64_t l2_pushes = 0;      ///< events staged through the frame wheel
-  std::int64_t heap_spills = 0;    ///< events past both wheel horizons
-  std::int64_t simd_windows = 0;   ///< fast-kernel (SIMD-path) dispatches
-  std::int64_t scalar_windows = 0; ///< strictly-ordered kernel dispatches
-  std::int64_t faulted_simd_windows = 0;  ///< faulted batch-kernel dispatches
-  std::int64_t mc_windows = 0;     ///< oracle-attended ordered dispatches
-  std::int64_t csort_windows = 0;  ///< counting-sorted window buffers
-  std::int64_t radix_windows = 0;  ///< of those, LSD-radix-sorted (large n)
-  std::int64_t sort_fallbacks = 0; ///< std::sort fallback window buffers
-};
-
-/// The windowed batch engine, serial and parallel in one body.
+/// The windowed batch engine.
 ///
-/// Correctness argument (the parallel half is inherited from the bounded-
-/// lag design it replaces):
+/// Correctness argument:
 ///
 ///  * Lookahead. Every event processed at time t schedules its successor at
 ///    start + service >= t + service, so with aligned windows of width
 ///    service an event inside window w only creates events in windows
 ///    >= w + 1: a window's population is fully known when it opens, and the
 ///    wheel's current bucket is never pushed to mid-window.
-///  * Ownership. Links are partitioned across shards; a packet's hop on
-///    link l is processed by owner(l). Each window buffer is sorted into
-///    canonical (t, inj) order before processing, so each link's channel
-///    state sees exactly the canonical event subsequence for that link —
-///    identical contention, start times and successor times at any shard
-///    count, with or without SIMD.
-///  * Handoff. Successors always land in a later window, so cross-shard
-///    handoffs are published at the window barrier (parity buffers) and
-///    consumed at the next round's start — never mid-window.
+///  * Canonical order. Each window buffer is sorted into (t, inj) order
+///    before processing, so each link's channel state sees exactly the
+///    canonical event subsequence for that link — identical contention,
+///    start times and successor times however a kernel batches the window,
+///    with or without SIMD.
 ///
-/// Statistics are NOT accumulated during window execution (float order
-/// would then depend on the partition). Shards record only per-packet
-/// outcome records; the reduction replays them against the injection array
-/// in canonical order, reproducing a strictly serial accumulation
-/// bit-for-bit.
+/// Statistics are NOT accumulated during window execution. The kernels
+/// record only per-packet outcome records; the reduction replays them
+/// against the injection array in canonical order, reproducing a strictly
+/// event-by-event accumulation bit-for-bit.
 class Engine {
  public:
-  Engine(const SimContext& sc, int threads, int num_shards)
+  explicit Engine(const SimContext& sc)
       : sc_(sc),
         fp_(sc.faults),
         oracle_(
@@ -640,11 +555,7 @@ class Engine {
         service_(sc.service),
         csort_(sc.service <= 1024),
         drain_(sc.cfg.drain_limit),
-        telem_(sc.cfg.telemetry),
-        threads_(threads),
-        S_(num_shards),
-        owner_(assign_link_shards(sc.links.count(), num_shards)),
-        shards_(static_cast<std::size_t>(num_shards)) {
+        telem_(sc.cfg.telemetry) {
     wdiv_.init(service_);
     // Radix plan for large windows: sort by the packed (dt, inj) order via
     // stable 8-bit LSD passes over inj, the last pass folding the leftover
@@ -667,144 +578,81 @@ class Engine {
       }
     }
     const auto links = sc_.links.count();
-    const std::size_t per_shard =
-        sc_.reserve / static_cast<std::size_t>(S_) + 16;
+    const std::size_t reserve = sc_.reserve + 16;
     // One lookahead is one hop, so in steady state nearly every successor
     // lands in the very next window: a single bucket can hold close to the
     // whole in-flight population. Size each bucket for that (capped — a
     // saturated or huge-P run may regrow, which is allowed).
-    const std::size_t per_bucket = std::min<std::size_t>(8192, per_shard);
-    for (Shard& sh : shards_) {
-      sh.spill.reserve(per_shard);
-      sh.chain_next.reserve(2 * per_shard);
-      sh.touched.reserve(64);
-      sh.mask_words.reserve(per_shard / 32 + 2);
-      if (fp_ != nullptr) {
-        sh.verdict_words.reserve(per_shard / 32 + 2);
-        sh.stage_inj.reserve(per_bucket);
-        sh.stage_att.reserve(per_bucket);
-        if (!fp_->link_faults.empty()) sh.stage_deg.reserve(per_bucket);
-        sh.vscratch.salt.reserve(per_bucket);
-        sh.vscratch.a.reserve(per_bucket);
-        sh.vscratch.b.reserve(per_bucket);
-        sh.vscratch.hash.reserve(per_bucket);
-      }
-      if (csort_) {
-        sh.sorted.reserve(per_bucket);
-        sh.dt_pos.assign(static_cast<std::size_t>(service_) + 1, 0);
-        if (radix_passes_ != 0) {
-          sh.sorted2.reserve(per_bucket);
-          sh.hist_last.assign(radix_hist_, 0);
-        }
-      }
-      sh.link_mark.assign(links, 0);
-      sh.link_tail.assign(links, 0);
-      for (auto& b : sh.bucket) b.reserve(per_bucket);
-      // Frame buckets are left unreserved: their population is bound by the
-      // backlog (load-bound, not duration-bound), so lazy doubling settles
-      // within the warmup windows and the steady state stays allocation-
-      // free — while an eager 64-vector reserve would charge every light
-      // run for capacity only saturated runs use.
-      sh.outbox[0].resize(static_cast<std::size_t>(S_));
-      sh.outbox[1].resize(static_cast<std::size_t>(S_));
-      if (telem_) sh.link_acc.resize(links);
+    const std::size_t per_bucket = std::min<std::size_t>(8192, reserve);
+    spill_.reserve(reserve);
+    chain_next_.reserve(2 * reserve);
+    touched_.reserve(64);
+    mask_words_.reserve(reserve / 32 + 2);
+    if (fp_ != nullptr) {
+      verdict_words_.reserve(reserve / 32 + 2);
+      stage_inj_.reserve(per_bucket);
+      stage_att_.reserve(per_bucket);
+      if (!fp_->link_faults.empty()) stage_deg_.reserve(per_bucket);
+      vscratch_.salt.reserve(per_bucket);
+      vscratch_.a.reserve(per_bucket);
+      vscratch_.b.reserve(per_bucket);
+      vscratch_.hash.reserve(per_bucket);
     }
-    // Partition dispatchable injections by the owner of their first link
-    // (hopless src==dst injections, which no current topology produces,
-    // fall to shard 0). Pushed in global order, so each shard's list stays
-    // sorted by (born, injection id). Counted first so the lists allocate
-    // exactly once (the steady state is allocation-free, see the test).
-    std::vector<std::size_t> counts(static_cast<std::size_t>(S_), 0);
-    auto inj_shard = [&](std::size_t i) {
-      const std::int32_t first = sc_.refs[i].first;
-      return first >= 0 ? static_cast<std::size_t>(
-                              owner_[static_cast<std::size_t>(first)])
-                        : std::size_t{0};
-    };
-    for (std::size_t i = 0; i < sc_.dispatchable; ++i) ++counts[inj_shard(i)];
-    for (int s = 0; s < S_; ++s)
-      shards_[static_cast<std::size_t>(s)].inj_ids.reserve(
-          counts[static_cast<std::size_t>(s)]);
-    for (std::size_t i = 0; i < sc_.dispatchable; ++i)
-      shards_[inj_shard(i)].inj_ids.push_back(static_cast<std::int32_t>(i));
-    for (Shard& sh : shards_)
-      sh.deliveries.reserve(sh.inj_ids.size() + sh.inj_ids.size() / 8 + 16);
+    if (csort_) {
+      sorted_.reserve(per_bucket);
+      dt_pos_.assign(static_cast<std::size_t>(service_) + 1, 0);
+      if (radix_passes_ != 0) {
+        sorted2_.reserve(per_bucket);
+        hist_last_.assign(radix_hist_, 0);
+      }
+    }
+    link_mark_.assign(links, 0);
+    link_tail_.assign(links, 0);
+    for (auto& b : bucket_) b.reserve(per_bucket);
+    // Frame buckets are left unreserved: their population is bound by the
+    // backlog (load-bound, not duration-bound), so lazy doubling settles
+    // within the warmup windows and the steady state stays allocation-
+    // free — while an eager 64-vector reserve would charge every light
+    // run for capacity only saturated runs use.
+    if (telem_) link_acc_.resize(links);
+    // Reserved exactly once (the steady state is allocation-free, see the
+    // test): one delivery per dispatched injection plus retry headroom.
+    deliveries_.reserve(sc_.dispatchable + sc_.dispatchable / 8 + 16);
   }
 
   void run(PacketSimResult& result) {
     if (telem_) telem_->clear();
-    for (Shard& sh : shards_)
-      if (!sh.inj_ids.empty())
-        sh.next_w = wdiv_(
-            sc_.injections[static_cast<std::size_t>(sh.inj_ids[0])].born);
-    std::int64_t w = next_window();
-    if (S_ == 1) {
-      while (w != kNoWindow && w * service_ <= drain_) {
-        cur_w_ = w;
-        process_window(0, w);
-        w = shards_[0].next_w;
-      }
-    } else {
-      util::ThreadPool& pool = util::ThreadPool::shared();
-      while (w != kNoWindow && w * service_ <= drain_) {
-        cur_w_ = w;
-        pool.for_index(static_cast<std::size_t>(S_), threads_,
-                       [this](std::size_t si) { process_window(si, cur_w_); });
-        parity_ ^= 1;
-        w = next_window();
-      }
+    std::int64_t w = sc_.dispatchable > 0 ? wdiv_(sc_.injections[0].born)
+                                          : kNoWindow;
+    while (w != kNoWindow && w * service_ <= drain_) {
+      cur_w_ = w;
+      w = process_window(w);
     }
-    // Pending work past the drain limit — wheel/spill events, staged
-    // handoffs, never-dispatched injections, or events discarded by the
-    // in-window drain cutoff — is exactly the serial saturation predicate.
-    bool trunc = w != kNoWindow || sc_.dispatchable < sc_.injections.size();
-    for (const Shard& sh : shards_) trunc = trunc || sh.trunc;
-    result.saturated = trunc;
+    // Pending work past the drain limit — wheel/spill events, never-
+    // dispatched injections, or events discarded by the in-window drain
+    // cutoff — is exactly the saturation predicate.
+    result.saturated =
+        w != kNoWindow || sc_.dispatchable < sc_.injections.size() || trunc_;
     reduce(result);
     flush_introspection();
   }
 
  private:
   /// Cold: publishes the engine-introspection totals once, after the run.
-  /// Counter values that aggregate per-(shard, window) decisions (window
-  /// dispatches, peak bucket occupancy) legitimately vary with sim_threads;
-  /// see the PacketSimConfig::metrics doc.
   void flush_introspection() {
     obs::MetricsRegistry* m = sc_.cfg.metrics;
     if (m == nullptr) return;
-    std::int64_t pushes = 0, peak = 0, l2 = 0, spills = 0, simd = 0,
-                 fsimd = 0, scalar = 0, mc = 0, cs = 0, rx = 0, fb = 0;
-    for (const Shard& sh : shards_) {
-      pushes += sh.wheel_pushes;
-      peak = std::max(peak, sh.wheel_peak);
-      l2 += sh.l2_pushes;
-      spills += sh.heap_spills;
-      simd += sh.simd_windows;
-      fsimd += sh.faulted_simd_windows;
-      scalar += sh.scalar_windows;
-      mc += sh.mc_windows;
-      cs += sh.csort_windows;
-      rx += sh.radix_windows;
-      fb += sh.sort_fallbacks;
-    }
-    m->counter("net.wheel.pushes")->add(pushes);
-    m->gauge("net.wheel.peak_bucket")->set(peak);
-    m->counter("net.wheel.l2_pushes")->add(l2);
-    m->counter("net.heap.spills")->add(spills);
-    m->counter("net.kernel.simd_windows")->add(simd);
-    m->counter("net.kernel.faulted_simd_windows")->add(fsimd);
-    m->counter("net.kernel.scalar_windows")->add(scalar);
-    m->counter("net.kernel.mc_windows")->add(mc);
-    m->counter("net.sort.counting_windows")->add(cs);
-    m->counter("net.sort.radix_windows")->add(rx);
-    m->counter("net.sort.fallbacks")->add(fb);
-    m->gauge("net.shards")->set(S_);
-  }
-
-  std::int64_t next_window() const {
-    std::int64_t w = kNoWindow;
-    for (const Shard& sh : shards_) w = std::min(w, sh.next_w);
-    return w;
+    m->counter("net.wheel.pushes")->add(wheel_pushes_);
+    m->gauge("net.wheel.peak_bucket")->set(wheel_peak_);
+    m->counter("net.wheel.l2_pushes")->add(l2_pushes_);
+    m->counter("net.heap.spills")->add(heap_spills_);
+    m->counter("net.kernel.simd_windows")->add(simd_windows_);
+    m->counter("net.kernel.faulted_simd_windows")->add(faulted_simd_windows_);
+    m->counter("net.kernel.scalar_windows")->add(scalar_windows_);
+    m->counter("net.kernel.mc_windows")->add(mc_windows_);
+    m->counter("net.sort.counting_windows")->add(csort_windows_);
+    m->counter("net.sort.radix_windows")->add(radix_windows_);
+    m->counter("net.sort.fallbacks")->add(sort_fallbacks_);
   }
 
   static std::uint64_t pack_key(Cycles dt, std::int32_t inj) {
@@ -813,25 +661,10 @@ class Engine {
            static_cast<std::uint32_t>(inj);
   }
 
-  /// Route a successor (or retry) event: own wheel/spill, or the owning
-  /// shard's outbox. `link < 0` means the packet is at its destination,
-  /// which is processed by the last link's owner — the current shard.
-  void push_event(Shard& sh, std::size_t si, Cycles t, std::int32_t inj,
-                  std::int32_t link, std::uint16_t hop,
-                  std::uint16_t attempt) {
-    if (S_ > 1 && link >= 0) {
-      const int dst = owner_[static_cast<std::size_t>(link)];
-      if (dst != static_cast<int>(si)) {
-        sh.outbox[parity_][static_cast<std::size_t>(dst)].push_back(
-            {t, inj, link, hop, attempt});
-        sh.staged_w = std::min(sh.staged_w, wdiv_(t));
-        return;
-      }
-    }
-    local_push(sh, t, inj, link, hop, attempt);
-  }
-
-  void local_push(Shard& sh, Cycles t, std::int32_t inj, std::int32_t link,
+  /// Schedule a successor (or retry) event: first wheel, frame wheel or
+  /// spill heap by distance. `link < 0` means the packet is at its
+  /// destination.
+  void push_event(Cycles t, std::int32_t inj, std::int32_t link,
                   std::uint16_t hop, std::uint16_t attempt) {
     const std::int64_t wt = wdiv_(t);
     if (wt - cur_w_ >= kWheel) {
@@ -840,21 +673,20 @@ class Engine {
       // buckets are unsorted — sort_window launders any arrival order.
       const std::int64_t g = wt >> kWheelBits;
       if (g - (cur_w_ >> kWheelBits) >= kWheel) {
-        ++sh.heap_spills;
-        sh.spill.push({t, inj, link, hop, attempt});
+        ++heap_spills_;
+        spill_.push({t, inj, link, hop, attempt});
         return;
       }
-      ++sh.l2_pushes;
-      sh.frame[g & (kWheel - 1)].push_back({t, inj, link, hop, attempt});
-      sh.frame_nonempty |= std::uint64_t{1} << (g & (kWheel - 1));
+      ++l2_pushes_;
+      frame_[g & (kWheel - 1)].push_back({t, inj, link, hop, attempt});
+      frame_nonempty_ |= std::uint64_t{1} << (g & (kWheel - 1));
       return;
     }
-    std::vector<WEvent>& b = sh.bucket[wt & (kWheel - 1)];
+    std::vector<WEvent>& b = bucket_[wt & (kWheel - 1)];
     b.push_back({pack_key(t - wt * service_, inj), link, hop, attempt});
-    ++sh.wheel_pushes;
-    sh.wheel_peak =
-        std::max(sh.wheel_peak, static_cast<std::int64_t>(b.size()));
-    sh.nonempty |= std::uint64_t{1} << (wt & (kWheel - 1));
+    ++wheel_pushes_;
+    wheel_peak_ = std::max(wheel_peak_, static_cast<std::int64_t>(b.size()));
+    nonempty_ |= std::uint64_t{1} << (wt & (kWheel - 1));
   }
 
   /// Sort the window buffer into canonical (dt, inj) key order and return a
@@ -862,15 +694,14 @@ class Engine {
   /// counting scatter by dt plus a tiny insertion sort of each equal-dt run
   /// (typical run length: a handful) replaces the comparison sort on the
   /// hot path; very large service values fall back to std::sort.
-  const WEvent* sort_window(Shard& sh, std::vector<WEvent>& buf,
-                            std::size_t n) {
+  const WEvent* sort_window(std::vector<WEvent>& buf, std::size_t n) {
     if (!csort_) {
-      ++sh.sort_fallbacks;
+      ++sort_fallbacks_;
       std::sort(buf.begin(), buf.end(),
                 [](const WEvent& a, const WEvent& b) { return a.key < b.key; });
       return buf.data();
     }
-    ++sh.csort_windows;
+    ++csort_windows_;
     // Large windows: equal-dt runs grow to ~n/service events and any
     // comparison sort of them is branch-mispredict-bound (measured ~28% of
     // faulted run time). The stable LSD radix over the same key order is
@@ -878,14 +709,14 @@ class Engine {
     // per-pass histogram overhead dominates and counting + insertion keeps
     // the small-window latency.
     constexpr std::size_t kRadixMin = 192;
-    if (radix_passes_ != 0 && n >= kRadixMin) return sort_radix(sh, buf, n);
-    std::uint32_t* const pos = sh.dt_pos.data();
+    if (radix_passes_ != 0 && n >= kRadixMin) return sort_radix(buf, n);
+    std::uint32_t* const pos = dt_pos_.data();
     std::fill(pos, pos + service_ + 1, 0);
     for (std::size_t i = 0; i < n; ++i) ++pos[(buf[i].key >> 32) + 1];
     for (std::size_t d = 1; d <= static_cast<std::size_t>(service_); ++d)
       pos[d] += pos[d - 1];
-    sh.sorted.resize(n);
-    WEvent* const out = sh.sorted.data();
+    sorted_.resize(n);
+    WEvent* const out = sorted_.data();
     for (std::size_t i = 0; i < n; ++i)
       out[pos[buf[i].key >> 32]++] = buf[i];
     // pos[d] now holds the END of group d. Order each equal-dt run by full
@@ -920,17 +751,16 @@ class Engine {
   /// bits concatenated with dt (the composite digit preserves the packed
   /// key's lexicographic order). All histograms are filled in a single
   /// fused pass; scatters ping-pong between the two sort buffers, arranged
-  /// so the final pass always lands in sh.sorted.
-  const WEvent* sort_radix(Shard& sh, std::vector<WEvent>& buf,
-                           std::size_t n) {
-    ++sh.radix_windows;
-    sh.sorted.resize(n);
-    sh.sorted2.resize(n);
+  /// so the final pass always lands in sorted_.
+  const WEvent* sort_radix(std::vector<WEvent>& buf, std::size_t n) {
+    ++radix_windows_;
+    sorted_.resize(n);
+    sorted2_.resize(n);
     const int np = radix_passes_;
     const int rem = radix_rem_;
     const int dlast = radix_done_;
     std::uint32_t h0[256], h1[256];
-    std::uint32_t* const hl = sh.hist_last.data();
+    std::uint32_t* const hl = hist_last_.data();
     if (np > 1) std::fill(h0, h0 + 256, 0);
     if (np > 2) std::fill(h1, h1 + 256, 0);
     std::fill(hl, hl + radix_hist_, 0);
@@ -960,8 +790,8 @@ class Engine {
       hl[d] = s;
       s += c;
     }
-    WEvent* const A = sh.sorted.data();
-    WEvent* const B = sh.sorted2.data();
+    WEvent* const A = sorted_.data();
+    WEvent* const B = sorted2_.data();
     const WEvent* src = buf.data();
     WEvent* dst = (np % 2 == 1) ? A : B;
     if (np > 1) {
@@ -983,66 +813,52 @@ class Engine {
     return A;
   }
 
-  void process_window(std::size_t si, std::int64_t w) {
-    Shard& sh = shards_[si];
+  /// Processes window w and returns the earliest pending window after it
+  /// (kNoWindow when nothing is left).
+  std::int64_t process_window(std::int64_t w) {
     const Cycles wbase = w * service_;
     const Cycles wend = wbase + service_;
-    sh.staged_w = kNoWindow;
-    std::vector<WEvent>& buf = sh.bucket[w & (kWheel - 1)];
+    std::vector<WEvent>& buf = bucket_[w & (kWheel - 1)];
     // Frame-wheel drain: every event in a frame <= the current one is now
     // within one first-wheel turn of w (an in-range frame g <= w >> 6 only
-    // holds events with w <= t/service < (g + 1) * 64, since next_window()
-    // offers each pending frame's start as a candidate — the engine never
+    // holds events with w <= t/service < (g + 1) * 64, since the window scan
+    // below offers each pending frame's start as a candidate — the engine never
     // jumps past an undrained frame). Live bits always name frames in
     // (cur_frame, cur_frame + 64], so the modular decode below is exact.
     const std::int64_t f = w >> kWheelBits;
-    if (f != sh.cur_frame) {
-      for (std::uint64_t m = sh.frame_nonempty; m != 0; m &= m - 1) {
+    if (f != cur_frame_) {
+      for (std::uint64_t m = frame_nonempty_; m != 0; m &= m - 1) {
         const int b = __builtin_ctzll(m);
         const std::int64_t g =
-            sh.cur_frame + 1 + ((b - sh.cur_frame - 1) & (kWheel - 1));
+            cur_frame_ + 1 + ((b - cur_frame_ - 1) & (kWheel - 1));
         if (g > f) continue;
-        std::vector<PEvent>& fb = sh.frame[b];
+        std::vector<PEvent>& fb = frame_[b];
         for (const PEvent& e : fb)
-          local_push(sh, e.t, e.inj, e.link, e.hop, e.attempt);
+          push_event(e.t, e.inj, e.link, e.hop, e.attempt);
         fb.clear();
-        sh.frame_nonempty &= ~(std::uint64_t{1} << b);
+        frame_nonempty_ &= ~(std::uint64_t{1} << b);
       }
-      sh.cur_frame = f;
-    }
-    // Handoffs staged for us during the previous round; they may land in
-    // this very window (cur_w_ is already w, so wheel targeting is safe).
-    if (S_ > 1) {
-      for (int q = 0; q < S_; ++q) {
-        std::vector<PEvent>& in =
-            shards_[static_cast<std::size_t>(q)].outbox[parity_ ^ 1][si];
-        for (const PEvent& e : in)
-          local_push(sh, e.t, e.inj, e.link, e.hop, e.attempt);
-        in.clear();
-      }
+      cur_frame_ = f;
     }
     // Spill entries whose window has arrived.
-    while (!sh.spill.empty() && sh.spill.top().t < wend) {
+    while (!spill_.empty() && spill_.top().t < wend) {
       PEvent e;
-      sh.spill.pop_into(e);
+      spill_.pop_into(e);
       buf.push_back({pack_key(e.t - wbase, e.inj), e.link, e.hop, e.attempt});
     }
     // Injections born in this window (drain-limit suffix already trimmed).
-    while (sh.next_inj < sh.inj_ids.size()) {
-      const std::int32_t id = sh.inj_ids[sh.next_inj];
-      const Cycles born =
-          sc_.injections[static_cast<std::size_t>(id)].born;
+    for (; next_inj_ < sc_.dispatchable; ++next_inj_) {
+      const Cycles born = sc_.injections[next_inj_].born;
       if (born >= wend) break;
       buf.push_back(
-          {pack_key(born - wbase, id), sc_.refs[static_cast<std::size_t>(id)].first,
-           0, 0});
-      ++sh.next_inj;
+          {pack_key(born - wbase, static_cast<std::int32_t>(next_inj_)),
+           sc_.refs[next_inj_].first, 0, 0});
     }
-    sh.nonempty &= ~(std::uint64_t{1} << (w & (kWheel - 1)));
+    nonempty_ &= ~(std::uint64_t{1} << (w & (kWheel - 1)));
 
     std::size_t n = buf.size();
     const WEvent* ev = buf.data();
-    if (n > 1) ev = sort_window(sh, buf, n);
+    if (n > 1) ev = sort_window(buf, n);
     // Drain cutoff: events past the limit are never processed (the run is
     // saturated); the buffer is key-sorted, so they form a suffix.
     if (n > 0 && wend - 1 > drain_) {
@@ -1050,31 +866,31 @@ class Engine {
       std::size_t keep = n;
       while (keep > 0 && ev[keep - 1].key >= lim) --keep;
       if (keep < n) {
-        sh.trunc = true;
+        trunc_ = true;
         n = keep;
       }
     }
     if (n > 0) {
-      sh.last_t = wbase + static_cast<Cycles>(ev[n - 1].key >> 32);
+      last_t_ = wbase + static_cast<Cycles>(ev[n - 1].key >> 32);
       if (fp_ != nullptr) {
         // An attached oracle must see choice points in canonical event
         // order, which only the strictly-ordered kernel walks.
         if (oracle_ != nullptr)
-          window_faulted(sh, si, wbase, ev, n);
+          window_faulted(wbase, ev, n);
         else
-          window_faulted_batch(sh, si, wbase, ev, n);
+          window_faulted_batch(wbase, ev, n);
       } else {
-        window_fast(sh, si, wbase, ev, n);
+        window_fast(wbase, ev, n);
       }
     }
     buf.clear();
-    ++sh.epoch;
+    ++epoch_;
 
-    // Earliest pending window: wheel bits, spill, injection stream, plus
-    // anything staged to other shards this round. All wheel bits refer to
-    // windows in (w, w + 64), so the modular distance is exact.
-    std::int64_t nw = sh.staged_w;
-    for (std::uint64_t m = sh.nonempty; m != 0; m &= m - 1) {
+    // Earliest pending window: wheel bits, frames, spill, injection stream.
+    // All wheel bits refer to windows in (w, w + 64), so the modular
+    // distance is exact.
+    std::int64_t nw = kNoWindow;
+    for (std::uint64_t m = nonempty_; m != 0; m &= m - 1) {
       const int b = __builtin_ctzll(m);
       const std::int64_t off = (b - w) & (kWheel - 1);
       nw = std::min(nw, w + off);
@@ -1082,17 +898,15 @@ class Engine {
     // Pending frames offer their frame-start window as a conservative
     // candidate: visiting it costs one (usually empty) window in which the
     // frame drains into the first wheel and the scan above takes over.
-    for (std::uint64_t m = sh.frame_nonempty; m != 0; m &= m - 1) {
+    for (std::uint64_t m = frame_nonempty_; m != 0; m &= m - 1) {
       const int b = __builtin_ctzll(m);
       const std::int64_t g = f + 1 + ((b - f - 1) & (kWheel - 1));
       nw = std::min(nw, g << kWheelBits);
     }
-    if (!sh.spill.empty()) nw = std::min(nw, wdiv_(sh.spill.top().t));
-    if (sh.next_inj < sh.inj_ids.size())
-      nw = std::min(
-          nw, wdiv_(sc_.injections[static_cast<std::size_t>(
-                                       sh.inj_ids[sh.next_inj])].born));
-    sh.next_w = nw;
+    if (!spill_.empty()) nw = std::min(nw, wdiv_(spill_.top().t));
+    if (next_inj_ < sc_.dispatchable)
+      nw = std::min(nw, wdiv_(sc_.injections[next_inj_].born));
+    return nw;
   }
 
   /// Fault-free window kernel. Two passes over the sorted buffer:
@@ -1108,23 +922,22 @@ class Engine {
   /// Reordering across links is invisible: links are independent resources,
   /// per-link subsequences stay canonical, and all statistics flow through
   /// the canonical replay in reduce().
-  void window_fast(Shard& sh, std::size_t si, Cycles wbase, const WEvent* ev,
-                   std::size_t n) {
-    ++sh.simd_windows;
-    sh.mask_words.resize((n + 63) / 64);
+  void window_fast(Cycles wbase, const WEvent* ev, std::size_t n) {
+    ++simd_windows_;
+    mask_words_.resize((n + 63) / 64);
     util::simd::negative_mask_i32_stride(&ev[0].link, n,
                                          sizeof(WEvent) / sizeof(std::int32_t),
-                                         sh.mask_words.data());
-    sh.chain_next.resize(n);
-    sh.touched.clear();
-    const std::uint64_t emark = static_cast<std::uint64_t>(++sh.epoch) << 32;
+                                         mask_words_.data());
+    chain_next_.resize(n);
+    touched_.clear();
+    const std::uint64_t emark = static_cast<std::uint64_t>(++epoch_) << 32;
     for (std::size_t base = 0; base < n; base += 64) {
-      const std::uint64_t del = sh.mask_words[base / 64];
+      const std::uint64_t del = mask_words_[base / 64];
       const std::size_t cnt = std::min<std::size_t>(64, n - base);
       for (std::uint64_t m = del; m != 0; m &= m - 1) {
         const std::size_t i =
             base + static_cast<std::size_t>(__builtin_ctzll(m));
-        sh.deliveries.push_back(
+        deliveries_.push_back(
             {wbase + static_cast<Cycles>(ev[i].key >> 32),
              static_cast<std::int32_t>(static_cast<std::uint32_t>(ev[i].key)),
              DKind::kDelivered});
@@ -1135,26 +948,26 @@ class Engine {
         const auto i = static_cast<std::int32_t>(
             base + static_cast<std::size_t>(__builtin_ctzll(m)));
         const std::int32_t l = ev[i].link;
-        sh.chain_next[static_cast<std::size_t>(i)] = -1;
-        std::uint64_t& mark = sh.link_mark[static_cast<std::size_t>(l)];
+        chain_next_[static_cast<std::size_t>(i)] = -1;
+        std::uint64_t& mark = link_mark_[static_cast<std::size_t>(l)];
         if ((mark & ~std::uint64_t{0xffffffff}) != emark) {
           mark = emark | static_cast<std::uint32_t>(i);
-          sh.touched.push_back(l);
+          touched_.push_back(l);
         } else {
-          sh.chain_next[static_cast<std::size_t>(
-              sh.link_tail[static_cast<std::size_t>(l)])] = i;
+          chain_next_[static_cast<std::size_t>(
+              link_tail_[static_cast<std::size_t>(l)])] = i;
         }
-        sh.link_tail[static_cast<std::size_t>(l)] = i;
+        link_tail_[static_cast<std::size_t>(l)] = i;
       }
     }
     Cycles* const chans = sc_.links.channel_data();
     const Cycles service = service_;
-    for (const std::int32_t l : sh.touched) {
+    for (const std::int32_t l : touched_) {
       Cycles* const span = chans + sc_.links.channel_offset(l);
       const auto cnt = static_cast<std::size_t>(sc_.links.channels(l));
       for (std::int32_t i = static_cast<std::int32_t>(static_cast<std::uint32_t>(
-               sh.link_mark[static_cast<std::size_t>(l)]));
-           i != -1; i = sh.chain_next[static_cast<std::size_t>(i)]) {
+               link_mark_[static_cast<std::size_t>(l)]));
+           i != -1; i = chain_next_[static_cast<std::size_t>(i)]) {
         const WEvent& e = ev[i];
         const Cycles t = wbase + static_cast<Cycles>(e.key >> 32);
         const std::size_t c =
@@ -1162,14 +975,14 @@ class Engine {
         const Cycles start = t > span[c] ? t : span[c];
         span[c] = start + service;
         if (telem_)
-          accumulate_link(sh.link_acc[static_cast<std::size_t>(l)], service,
+          accumulate_link(link_acc_[static_cast<std::size_t>(l)], service,
                           start - t);
         const auto inj =
             static_cast<std::int32_t>(static_cast<std::uint32_t>(e.key));
         const RouteRef& rr = sc_.refs[static_cast<std::size_t>(inj)];
         const std::int32_t nhop = static_cast<std::int32_t>(e.hop) + 1;
         const std::int32_t nlink = nhop == rr.hops ? -1 : rr.span[nhop];
-        push_event(sh, si, start + service, inj, nlink,
+        push_event(start + service, inj, nlink,
                    static_cast<std::uint16_t>(nhop), 0);
       }
     }
@@ -1183,10 +996,9 @@ class Engine {
   /// must be the canonical event order — which the batch kernel's survivor
   /// grouping does not preserve. It is also the reference implementation
   /// the batch kernel is pinned byte-identical against.
-  void window_faulted(Shard& sh, std::size_t si, Cycles wbase,
-                      const WEvent* ev, std::size_t n) {
-    ++sh.scalar_windows;
-    if (oracle_ != nullptr) ++sh.mc_windows;
+  void window_faulted(Cycles wbase, const WEvent* ev, std::size_t n) {
+    ++scalar_windows_;
+    if (oracle_ != nullptr) ++mc_windows_;
     for (std::size_t x = 0; x < n; ++x) {
       const WEvent& e = ev[x];
       const Cycles t = wbase + static_cast<Cycles>(e.key >> 32);
@@ -1196,10 +1008,10 @@ class Engine {
         // A corrupted attempt consumed every link it crossed but delivers
         // nothing — the receiver discards it and the plan decides its fate.
         if (fp_->corrupt_attempt(inj, e.attempt)) {
-          ++sh.corrupted;
-          retry_or_lose(sh, si, t, inj, e.attempt, -1);
+          ++corrupted_;
+          retry_or_lose(t, inj, e.attempt, -1);
         } else {
-          sh.deliveries.push_back({t, inj, DKind::kDelivered});
+          deliveries_.push_back({t, inj, DKind::kDelivered});
         }
         continue;
       }
@@ -1227,9 +1039,9 @@ class Engine {
         doomed = verdict;
       }
       if (doomed) {
-        ++sh.dropped;
-        if (telem_) ++sh.link_acc[static_cast<std::size_t>(e.link)].drops;
-        retry_or_lose(sh, si, t, inj, e.attempt, e.link);
+        ++dropped_;
+        if (telem_) ++link_acc_[static_cast<std::size_t>(e.link)].drops;
+        retry_or_lose(t, inj, e.attempt, e.link);
         continue;
       }
       // A degraded (but live) link serves slower; service only ever grows,
@@ -1239,11 +1051,11 @@ class Engine {
       const Cycles start = t > free_at ? t : free_at;
       free_at = start + svc;
       if (telem_)
-        accumulate_link(sh.link_acc[static_cast<std::size_t>(e.link)], svc,
+        accumulate_link(link_acc_[static_cast<std::size_t>(e.link)], svc,
                         start - t);
       const std::int32_t nhop = static_cast<std::int32_t>(e.hop) + 1;
       const std::int32_t nlink = nhop == rr.hops ? -1 : rr.span[nhop];
-      push_event(sh, si, start + svc, inj, nlink,
+      push_event(start + svc, inj, nlink,
                  static_cast<std::uint16_t>(nhop), e.attempt);
     }
   }
@@ -1267,40 +1079,39 @@ class Engine {
   ///     scaled by the link's degrade factor.
   ///
   /// Byte-identity with window_faulted() is structural: verdicts are
-  /// bit-exact (the integer-threshold form of the same hashes), per-shard
-  /// record order is canonical either way, per-link arbitration sees the
-  /// same canonical subsequence, and successor push order is laundered by
-  /// sort_window() — pinned across every fault type, sim_threads and SIMD
-  /// setting by tests/test_packet_sim.cpp.
-  void window_faulted_batch(Shard& sh, std::size_t si, Cycles wbase,
-                            const WEvent* ev, std::size_t n) {
-    ++sh.faulted_simd_windows;
+  /// bit-exact (the integer-threshold form of the same hashes), record
+  /// order is canonical either way, per-link arbitration sees the same
+  /// canonical subsequence, and successor push order is laundered by
+  /// sort_window() — pinned across every fault type and SIMD setting by
+  /// tests/test_packet_sim.cpp.
+  void window_faulted_batch(Cycles wbase, const WEvent* ev, std::size_t n) {
+    ++faulted_simd_windows_;
     const std::size_t nwords = (n + 63) / 64;
-    sh.mask_words.resize(nwords);
+    mask_words_.resize(nwords);
     util::simd::negative_mask_i32_stride(&ev[0].link, n,
                                          sizeof(WEvent) / sizeof(std::int32_t),
-                                         sh.mask_words.data());
-    sh.stage_inj.resize(n);
-    sh.stage_att.resize(n);
+                                         mask_words_.data());
+    stage_inj_.resize(n);
+    stage_att_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      sh.stage_inj[i] = static_cast<std::uint32_t>(ev[i].key);
-      sh.stage_att[i] = ev[i].attempt;
+      stage_inj_[i] = static_cast<std::uint32_t>(ev[i].key);
+      stage_att_[i] = ev[i].attempt;
     }
-    sh.verdict_words.resize(nwords);
-    fp_->verdict_mask(sh.mask_words.data(), sh.stage_inj.data(),
-                      sh.stage_att.data(), n, sh.vscratch,
-                      sh.verdict_words.data());
+    verdict_words_.resize(nwords);
+    fp_->verdict_mask(mask_words_.data(), stage_inj_.data(),
+                      stage_att_.data(), n, vscratch_,
+                      verdict_words_.data());
     const bool lf = !fp_->link_faults.empty();
-    if (lf) sh.stage_deg.resize(n);
-    sh.chain_next.resize(n);
-    sh.touched.clear();
-    const std::uint64_t emark = static_cast<std::uint64_t>(++sh.epoch) << 32;
+    if (lf) stage_deg_.resize(n);
+    chain_next_.resize(n);
+    touched_.clear();
+    const std::uint64_t emark = static_cast<std::uint64_t>(++epoch_) << 32;
     for (std::size_t base = 0; base < n; base += 64) {
       const std::size_t cnt = std::min<std::size_t>(64, n - base);
       const std::uint64_t valid =
           cnt == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << cnt) - 1;
-      const std::uint64_t del = sh.mask_words[base / 64];
-      const std::uint64_t ver = sh.verdict_words[base / 64];
+      const std::uint64_t del = mask_words_[base / 64];
+      const std::uint64_t ver = verdict_words_[base / 64];
       // Terminal = corrupted deliveries, dead-link traversals, and
       // rate-flagged traversals whose hash drop-hop is this hop. The
       // ordered kernel never consults the drop hash on a dead link, but
@@ -1313,7 +1124,7 @@ class Engine {
           const auto [lu, lv] = sc_.links.endpoints(ev[i].link);
           const int deg = fp_->link_degrade(
               lu, lv, wbase + static_cast<Cycles>(ev[i].key >> 32));
-          sh.stage_deg[i] = deg;
+          stage_deg_[i] = deg;
           if (deg == 0) term |= std::uint64_t{1} << (i - base);
         }
       }
@@ -1336,15 +1147,15 @@ class Engine {
         const auto inj =
             static_cast<std::int32_t>(static_cast<std::uint32_t>(ev[i].key));
         if (((term >> (i - base)) & 1) == 0) {
-          sh.deliveries.push_back({t, inj, DKind::kDelivered});
+          deliveries_.push_back({t, inj, DKind::kDelivered});
         } else if ((del >> (i - base)) & 1) {
-          ++sh.corrupted;
-          retry_or_lose(sh, si, t, inj, ev[i].attempt, -1);
+          ++corrupted_;
+          retry_or_lose(t, inj, ev[i].attempt, -1);
         } else {
-          ++sh.dropped;
+          ++dropped_;
           if (telem_)
-            ++sh.link_acc[static_cast<std::size_t>(ev[i].link)].drops;
-          retry_or_lose(sh, si, t, inj, ev[i].attempt, ev[i].link);
+            ++link_acc_[static_cast<std::size_t>(ev[i].link)].drops;
+          retry_or_lose(t, inj, ev[i].attempt, ev[i].link);
         }
       }
       // Surviving link traversals chain per link, as in window_fast.
@@ -1352,44 +1163,44 @@ class Engine {
         const auto i = static_cast<std::int32_t>(
             base + static_cast<std::size_t>(__builtin_ctzll(m)));
         const std::int32_t l = ev[i].link;
-        sh.chain_next[static_cast<std::size_t>(i)] = -1;
-        std::uint64_t& mark = sh.link_mark[static_cast<std::size_t>(l)];
+        chain_next_[static_cast<std::size_t>(i)] = -1;
+        std::uint64_t& mark = link_mark_[static_cast<std::size_t>(l)];
         if ((mark & ~std::uint64_t{0xffffffff}) != emark) {
           mark = emark | static_cast<std::uint32_t>(i);
-          sh.touched.push_back(l);
+          touched_.push_back(l);
         } else {
-          sh.chain_next[static_cast<std::size_t>(
-              sh.link_tail[static_cast<std::size_t>(l)])] = i;
+          chain_next_[static_cast<std::size_t>(
+              link_tail_[static_cast<std::size_t>(l)])] = i;
         }
-        sh.link_tail[static_cast<std::size_t>(l)] = i;
+        link_tail_[static_cast<std::size_t>(l)] = i;
       }
     }
     Cycles* const chans = sc_.links.channel_data();
-    for (const std::int32_t l : sh.touched) {
+    for (const std::int32_t l : touched_) {
       Cycles* const span = chans + sc_.links.channel_offset(l);
       const auto ccnt = static_cast<std::size_t>(sc_.links.channels(l));
       for (std::int32_t i = static_cast<std::int32_t>(
                static_cast<std::uint32_t>(
-                   sh.link_mark[static_cast<std::size_t>(l)]));
-           i != -1; i = sh.chain_next[static_cast<std::size_t>(i)]) {
+                   link_mark_[static_cast<std::size_t>(l)]));
+           i != -1; i = chain_next_[static_cast<std::size_t>(i)]) {
         const WEvent& e = ev[i];
         const Cycles t = wbase + static_cast<Cycles>(e.key >> 32);
         const Cycles svc =
-            lf ? service_ * sh.stage_deg[static_cast<std::size_t>(i)]
+            lf ? service_ * stage_deg_[static_cast<std::size_t>(i)]
                : service_;
         const std::size_t c =
             ccnt == 1 ? 0 : util::simd::first_min_index_i64(span, ccnt);
         const Cycles start = t > span[c] ? t : span[c];
         span[c] = start + svc;
         if (telem_)
-          accumulate_link(sh.link_acc[static_cast<std::size_t>(l)], svc,
+          accumulate_link(link_acc_[static_cast<std::size_t>(l)], svc,
                           start - t);
         const auto inj =
             static_cast<std::int32_t>(static_cast<std::uint32_t>(e.key));
         const RouteRef& rr = sc_.refs[static_cast<std::size_t>(inj)];
         const std::int32_t nhop = static_cast<std::int32_t>(e.hop) + 1;
         const std::int32_t nlink = nhop == rr.hops ? -1 : rr.span[nhop];
-        push_event(sh, si, start + svc, inj, nlink,
+        push_event(start + svc, inj, nlink,
                    static_cast<std::uint16_t>(nhop), e.attempt);
       }
     }
@@ -1397,29 +1208,29 @@ class Engine {
 
   /// A dropped or corrupted attempt either re-dispatches from hop 0 after
   /// retry_timeout (staying "in flight" from the network's point of view)
-  /// or, with retries exhausted or disabled, is abandoned. The retry may
-  /// re-enter on another shard's link — but retry_timeout >= lookahead
-  /// (checked at entry), so it lands beyond the window end and the
-  /// ordinary handoff is causally safe. Retry records exist only so the
-  /// replay can rebuild the cumulative retransmit counter (and telemetry
-  /// series) in canonical order.
+  /// or, with retries exhausted or disabled, is abandoned. retry_timeout
+  /// >= lookahead (checked at entry) puts the retry in a later window, like
+  /// every other successor: a retry into the window being processed would
+  /// be pushed into the very bucket the kernel is iterating and then dropped
+  /// by its clear() — and for a one-event window, whose kernel reads the
+  /// bucket in place, the push could reallocate it under the kernel. Retry
+  /// records exist only so the replay can rebuild the cumulative retransmit
+  /// counter (and telemetry series) in canonical order.
   ///
   /// With an EpochRouter attached, a retry is also the route recommit
   /// point: the packet adopts its pair's variant for the epoch of the
-  /// re-dispatch instant. Mutating sc_.refs[inj] here is race-free — a
-  /// packet has at most one pending event, this shard is processing it, and
-  /// the retry lands at least one window later, so the next reader (any
-  /// shard) is separated by the window barrier.
+  /// re-dispatch instant. Mutating sc_.refs[inj] here is safe — a packet
+  /// has at most one pending event, and this is it.
   ///
   /// `loss_link` attributes the per-link retransmit/reroute telemetry to
   /// the link that dropped the attempt; -1 (corrupt-at-destination) is
   /// charged to no link.
-  void retry_or_lose(Shard& sh, std::size_t si, Cycles t, std::int32_t inj,
-                     std::uint16_t attempt, std::int32_t loss_link) {
+  void retry_or_lose(Cycles t, std::int32_t inj, std::uint16_t attempt,
+                     std::int32_t loss_link) {
     if (fp_->retry_timeout > 0 && attempt < fp_->max_retries) {
-      sh.deliveries.push_back({t, inj, DKind::kRetry});
+      deliveries_.push_back({t, inj, DKind::kRetry});
       if (telem_ && loss_link >= 0)
-        ++sh.link_acc[static_cast<std::size_t>(loss_link)].retransmits;
+        ++link_acc_[static_cast<std::size_t>(loss_link)].retransmits;
       const Cycles rt = t + fp_->retry_timeout;
       RouteRef& rr = sc_.refs[static_cast<std::size_t>(inj)];
       if (sc_.router != nullptr) {
@@ -1429,29 +1240,25 @@ class Engine {
         if (nv.span != rr.span) {
           rr = nv;
           if (telem_ && loss_link >= 0)
-            ++sh.link_acc[static_cast<std::size_t>(loss_link)].reroutes;
+            ++link_acc_[static_cast<std::size_t>(loss_link)].reroutes;
         }
       }
-      push_event(sh, si, rt, inj, rr.first, 0,
-                 static_cast<std::uint16_t>(attempt + 1));
+      push_event(rt, inj, rr.first, 0, static_cast<std::uint16_t>(attempt + 1));
     } else {
-      sh.deliveries.push_back({t, inj, DKind::kLost});
+      deliveries_.push_back({t, inj, DKind::kLost});
     }
   }
 
   // ---- Deterministic reduction: replay in canonical (t, inj) order. ----
-  // Merging the (sorted) per-shard outcome lists against the injection
-  // array reconstructs the serial +1/-1 in-flight walk and its floating-
-  // point accumulation order exactly; which shard produced a record — and
-  // how the window kernels batched it — no longer matters.
+  // Walking the (sorted) outcome list against the injection array
+  // reconstructs the event-by-event +1/-1 in-flight walk and its floating-
+  // point accumulation order exactly; how the window kernels batched a
+  // record no longer matters.
   void reduce(PacketSimResult& result) {
     const PacketSimConfig& cfg = sc_.cfg;
-    const int S = S_;
     util::Histogram histo(0, 64.0 * static_cast<double>(service_) *
                                  static_cast<double>(sc_.topo.num_nodes()),
                           4096);
-    Cycles horizon = 0;
-    for (const Shard& sh : shards_) horizon = std::max(horizon, sh.last_t);
     Cycles next_sample = (telem_ != nullptr && telem_->sample_every > 0)
                              ? telem_->sample_every
                              : kNever;
@@ -1460,35 +1267,21 @@ class Engine {
     // Reroute replay state: each in-flight packet's committed span. The
     // engine's recommit is a span-pointer compare at each retry; replaying
     // the same compares against the canonical record stream reproduces the
-    // cumulative reroute count independent of the shard partition.
+    // cumulative reroute count at each sampled instant.
     std::vector<const std::int32_t*> cur_span;
     if (sc_.router != nullptr) cur_span.resize(sc_.dispatchable);
-    std::vector<std::size_t> head(static_cast<std::size_t>(S), 0);
+    const std::size_t nd = deliveries_.size();
+    std::size_t di = 0;
     std::size_t ii = 0;
     const Cycles window_close = cfg.warmup + cfg.duration;
-    while (true) {
-      int best = -1;
-      Cycles bt = kNever;
-      std::int32_t binj = 0;
-      for (int s = 0; s < S; ++s) {
-        const std::vector<Delivery>& dv =
-            shards_[static_cast<std::size_t>(s)].deliveries;
-        const std::size_t h = head[static_cast<std::size_t>(s)];
-        if (h >= dv.size()) continue;
-        const Delivery& d = dv[h];
-        if (best < 0 || d.t < bt || (d.t == bt && d.inj < binj)) {
-          best = s;
-          bt = d.t;
-          binj = d.inj;
-        }
-      }
+    while (ii < sc_.dispatchable || di < nd) {
       // An in-flight packet always has a smaller injection id than the next
       // undispatched injection, so outcome records win timestamp ties — the
       // same tie-break the canonical event order makes.
       const bool take_inj =
-          ii < sc_.dispatchable && (best < 0 || sc_.injections[ii].born < bt);
-      if (!take_inj && best < 0) break;
-      const Cycles t = take_inj ? sc_.injections[ii].born : bt;
+          ii < sc_.dispatchable &&
+          (di == nd || sc_.injections[ii].born < deliveries_[di].t);
+      const Cycles t = take_inj ? sc_.injections[ii].born : deliveries_[di].t;
       while (next_sample <= t) {
         telem_->in_flight.emplace_back(next_sample, in_flight);
         if (fp_) {
@@ -1510,14 +1303,14 @@ class Engine {
                              .span;
         ++ii;
       } else {
-        const Shard& bsh = shards_[static_cast<std::size_t>(best)];
-        switch (bsh.deliveries[head[static_cast<std::size_t>(best)]].kind) {
+        const Delivery& d = deliveries_[di++];
+        switch (d.kind) {
           case DKind::kDelivered: {
-            if (bt >= cfg.warmup && bt < window_close) ++result.delivered;
+            if (t >= cfg.warmup && t < window_close) ++result.delivered;
             const Cycles born =
-                sc_.injections[static_cast<std::size_t>(binj)].born;
+                sc_.injections[static_cast<std::size_t>(d.inj)].born;
             if (born >= cfg.warmup) {
-              const auto lat = static_cast<double>(bt - born);
+              const auto lat = static_cast<double>(t - born);
               result.latency.add(lat);
               histo.add(lat);
             }
@@ -1532,17 +1325,17 @@ class Engine {
           case DKind::kRetry:
             // The retry itself stays in flight; the record exists so the
             // cumulative counter (and its sampled series) advances at the
-            // same canonical instant as in a serial replay.
+            // same canonical instant as in an event-by-event replay.
             ++result.retransmitted;
             if (sc_.router != nullptr) {
               const std::int32_t* nv =
                   sc_.router
                       ->variant(
-                          sc_.inj_pair[static_cast<std::size_t>(binj)],
-                          sc_.router->epoch_of(bt + fp_->retry_timeout))
+                          sc_.inj_pair[static_cast<std::size_t>(d.inj)],
+                          sc_.router->epoch_of(t + fp_->retry_timeout))
                       .span;
               const std::int32_t** cs =
-                  &cur_span[static_cast<std::size_t>(binj)];
+                  &cur_span[static_cast<std::size_t>(d.inj)];
               if (nv != *cs) {
                 ++result.rerouted;
                 *cs = nv;
@@ -1550,13 +1343,12 @@ class Engine {
             }
             break;
         }
-        ++head[static_cast<std::size_t>(best)];
       }
     }
     if (telem_) {
       // Tail samples up to the horizon carry the final level, matching a
-      // serial loop's emission on its last processed event.
-      while (next_sample <= horizon) {
+      // event loop's emission on its last processed event.
+      while (next_sample <= last_t_) {
         telem_->in_flight.emplace_back(next_sample, in_flight);
         if (fp_) {
           telem_->retransmits.emplace_back(next_sample, result.retransmitted);
@@ -1568,15 +1360,8 @@ class Engine {
         }
         next_sample += telem_->sample_every;
       }
-      telem_->horizon = horizon;
-      // Each link is owned by exactly one shard, so the merged per-link row
-      // is a straight copy from its owner — integer accumulators, identical
-      // event subsequence, identical values at any thread count.
-      std::vector<obs::LinkTelemetry> merged(sc_.links.count());
-      for (std::size_t id = 0; id < sc_.links.count(); ++id)
-        merged[id] =
-            shards_[static_cast<std::size_t>(owner_[id])].link_acc[id];
-      fill_link_telemetry(telem_, sc_.links, merged);
+      telem_->horizon = last_t_;
+      fill_link_telemetry(telem_, sc_.links, link_acc_);
     }
 
     // Historically the serial packet store created a slot exactly when its
@@ -1586,10 +1371,8 @@ class Engine {
     // too: a retrying packet keeps its slot, so slot lifetime still equals
     // the in-flight span.
     result.pool_slots = result.peak_in_flight;
-    for (const Shard& sh : shards_) {
-      result.dropped += sh.dropped;
-      result.corrupted += sh.corrupted;
-    }
+    result.dropped = dropped_;
+    result.corrupted = corrupted_;
     result.undrained = result.injected - completed - result.lost;
     result.truncated = result.saturated;
     result.p95_latency = histo.quantile(0.95);
@@ -1612,13 +1395,67 @@ class Engine {
   std::size_t radix_hist_ = 0; ///< last-pass histogram size
   const Cycles drain_;
   obs::NetTelemetry* const telem_;
-  const int threads_;
-  const int S_;
-  const std::vector<std::int32_t> owner_;
-  std::vector<Shard> shards_;
   WindowDiv wdiv_;
   std::int64_t cur_w_ = 0;  ///< window being processed (wheel edge)
-  int parity_ = 0;
+
+  std::vector<WEvent> bucket_[kWheel];  ///< time wheel, index = window & 63
+  std::uint64_t nonempty_ = 0;          ///< bit (w & 63) set when bucket used
+  /// Second-level wheel: 64 frames of 64 windows each. An event past the
+  /// first wheel's horizon but within 64 frames is staged unsorted in its
+  /// frame bucket (O(1)) and re-pushed into the first wheel when the
+  /// engine's current window enters that frame — every event moves at most
+  /// twice, where the spill heap charged O(log n) twice on a structure
+  /// that grows with the whole backlog. Deep link queues and retransmit
+  /// timeouts put a large fraction of pushes past the first horizon, so
+  /// this is the difference between O(1) and O(log backlog) per event
+  /// exactly on saturated and faulted runs.
+  std::vector<PEvent> frame_[kWheel];  ///< index = (window >> 6) & 63
+  std::uint64_t frame_nonempty_ = 0;   ///< bit ((w >> 6) & 63) set when used
+  std::int64_t cur_frame_ = 0;         ///< frame of the last entered window
+  util::FourAryHeap<PEvent, SpillBefore> spill_;  ///< past both wheels
+  std::size_t next_inj_ = 0;  ///< next injection id to dispatch
+  std::vector<Delivery> deliveries_;
+  std::vector<obs::LinkTelemetry> link_acc_;  ///< per link id, telemetry only
+  // Window scratch (capacities persist across windows; no steady-state
+  // allocation). link_mark packs (epoch << 32 | head index) so per-window
+  // chain reset is one epoch bump instead of an O(links) clear.
+  std::vector<std::int32_t> chain_next_;
+  std::vector<std::int32_t> touched_;
+  std::vector<std::uint64_t> mask_words_;
+  // Faulted batch-kernel scratch: staged event identities, the vectorized
+  // fault-verdict bitmask, and the per-event link-degrade memo (written in
+  // pass 1, read again for the service span in pass 2 so link_degrade runs
+  // exactly once per event, as in the ordered kernel).
+  std::vector<std::uint64_t> verdict_words_;
+  std::vector<std::uint32_t> stage_inj_;
+  std::vector<std::uint16_t> stage_att_;
+  std::vector<std::int32_t> stage_deg_;
+  fault::FaultPlan::VerdictScratch vscratch_;
+  std::vector<WEvent> sorted_;            ///< counting-sort output buffer
+  std::vector<WEvent> sorted2_;           ///< radix-sort ping-pong buffer
+  std::vector<std::uint32_t> dt_pos_;     ///< counting-sort group cursors
+  std::vector<std::uint32_t> hist_last_;  ///< radix last-pass histogram
+  std::vector<std::uint64_t> link_mark_;
+  std::vector<std::int32_t> link_tail_;
+  std::uint32_t epoch_ = 0;
+  Cycles last_t_ = 0;   ///< latest event processed (telemetry horizon)
+  bool trunc_ = false;  ///< discarded events beyond the drain limit
+  std::int64_t dropped_ = 0;
+  std::int64_t corrupted_ = 0;
+  // Engine introspection (PacketSimConfig::metrics), accumulated
+  // unconditionally — plain integer adds on paths that already touch the
+  // same cache lines — and published once, cold, after the run.
+  std::int64_t wheel_pushes_ = 0;   ///< events staged through the wheel
+  std::int64_t wheel_peak_ = 0;     ///< max single-bucket occupancy seen
+  std::int64_t l2_pushes_ = 0;      ///< events staged through the frame wheel
+  std::int64_t heap_spills_ = 0;    ///< events past both wheel horizons
+  std::int64_t simd_windows_ = 0;   ///< fast-kernel (SIMD-path) dispatches
+  std::int64_t scalar_windows_ = 0; ///< strictly-ordered kernel dispatches
+  std::int64_t faulted_simd_windows_ = 0;  ///< faulted batch-kernel dispatches
+  std::int64_t mc_windows_ = 0;     ///< oracle-attended ordered dispatches
+  std::int64_t csort_windows_ = 0;  ///< counting-sorted window buffers
+  std::int64_t radix_windows_ = 0;  ///< of those, LSD-radix-sorted (large n)
+  std::int64_t sort_fallbacks_ = 0; ///< std::sort fallback window buffers
 };
 
 }  // namespace
@@ -1632,16 +1469,6 @@ const char* traffic_pattern_name(TrafficPattern p) {
     case TrafficPattern::kHotspot: return "hotspot";
   }
   return "?";
-}
-
-std::vector<std::int32_t> assign_link_shards(std::size_t num_links,
-                                             int shards) {
-  LOGP_CHECK(shards >= 1);
-  std::vector<std::int32_t> owner(num_links);
-  for (std::size_t id = 0; id < num_links; ++id)
-    owner[id] =
-        static_cast<std::int32_t>(id % static_cast<std::size_t>(shards));
-  return owner;
 }
 
 PacketSimResult run_packet_sim(const Topology& topo,
@@ -1675,9 +1502,8 @@ PacketSimResult run_packet_sim(const Topology& topo,
   PacketSimResult result;
   result.offered_load = cfg.injection_rate;
 
-  // Pre-generate all injections (open-loop source). The RNG call sequence
-  // does not depend on sim_threads, so the workload is fixed before the
-  // engine runs.
+  // Pre-generate all injections (open-loop source), so the workload is
+  // fixed before the engine runs.
   std::vector<Injection> injections;
   const Cycles inject_end = cfg.warmup + cfg.duration;
   const double expected = static_cast<double>(P) *
@@ -1734,8 +1560,8 @@ PacketSimResult run_packet_sim(const Topology& topo,
     }
   }
 
-  // Pre-resolve every route in injection order: dense link ids get the same
-  // first-touch order at any thread count, and the engine never hashes or
+  // Pre-resolve every route in injection order: dense link ids get a
+  // deterministic first-touch order, and the engine never hashes or
   // allocates route storage once the window loop starts.
   LinkTable links;
   RouteCache routes(topo, links);
@@ -1764,8 +1590,8 @@ PacketSimResult run_packet_sim(const Topology& topo,
                    "route longer than the packed hop counter");
     rr.first = rr.hops > 0 ? rr.span[0] : -1;
     if (router != nullptr) {
-      // Stamp the injection with its birth epoch's variant — the shard
-      // partition and first dispatch then follow the committed route.
+      // Stamp the injection with its birth epoch's variant — the first
+      // dispatch then follows the committed route.
       inj_pair[i] = router->pair_id(injections[i].src, injections[i].dst, rr);
       rr = router->variant(inj_pair[i],
                            router->epoch_of(injections[i].born));
@@ -1808,19 +1634,7 @@ PacketSimResult run_packet_sim(const Topology& topo,
                       router.get(),
                       router != nullptr ? inj_pair.data() : nullptr};
 
-  int threads = cfg.sim_threads;
-  if (threads <= 0)
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  int num_shards =
-      std::max(1, std::min<int>(threads, static_cast<int>(links.count())));
-#ifndef LOGP_MC_DISABLED
-  // An attached oracle must see its choice points in canonical event order;
-  // shards interleave arbitrarily inside a window, so force one shard.
-  // (Without an active fault plan the oracle is ignored — the engine has no
-  // packet-level choice points to offer.)
-  if (fp != nullptr && cfg.oracle != nullptr) num_shards = 1;
-#endif
-  Engine engine(sc, threads, num_shards);
+  Engine engine(sc);
   engine.run(result);
   return result;
 }

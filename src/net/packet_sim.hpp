@@ -50,14 +50,6 @@ struct PacketSimConfig {
   Cycles duration = 20000;     ///< measured injection window
   Cycles drain_limit = 400000; ///< give up draining after this absolute time
   std::uint64_t seed = 0x9a7e;
-  /// Intra-run engine threads (0 = one per hardware thread). 1 runs the
-  /// serial reference engine; >=2 runs the conservative bounded-lag
-  /// parallel engine (links sharded across workers, lock-step windows of
-  /// width `lookahead(cfg)`). Results are byte-identical at every value —
-  /// the canonical (time, injection-id) event order fixes the trajectory,
-  /// and per-packet statistics are reduced in that order regardless of
-  /// which worker produced them (pinned by tests/test_packet_sim.cpp).
-  int sim_threads = 1;
   /// Event-store capacity to pre-reserve; 0 = auto from the ceil(L/g)
   /// capacity bound: num_endpoints x ceil(diameter_hops x service x rate),
   /// LogP's per-endpoint ceil(L/g) with L = diameter_hops x service (the
@@ -79,20 +71,19 @@ struct PacketSimConfig {
   /// faulted batch, strictly-ordered, and oracle-attended dispatches)
   /// and net.sort.{counting_windows,fallbacks} once, after the run.
   /// Attaching it never changes PacketSimResult (pinned by tests). The
-  /// per-(shard, window) counters depend on how work is partitioned, so —
-  /// unlike every result field — their values may differ across sim_threads;
-  /// byte-identity tests exclude them. Same ownership rules as the machine's
-  /// registry: one owner, must outlive the run.
+  /// kernel-dispatch counters depend on which kernels the build selects, so
+  /// byte-identity tests across SIMD settings exclude them. Same ownership
+  /// rules as the machine's registry: one owner, must outlive the run.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional deterministic fault plan (see fault/fault.hpp). Null — or a
   /// plan with no packet-level faults — takes the unmodified fast path and
-  /// is byte-identical to the fault-free simulator. An active plan is
-  /// honored identically by the serial and parallel engines: every fault
-  /// decision is a pure hash of (plan seed, injection id, attempt), so
-  /// faulted results stay byte-identical at every sim_threads value. A plan
-  /// with retry_timeout != 0 must satisfy retry_timeout >= lookahead(cfg)
-  /// (a retry is a cross-shard self-interaction of the packet; the bounded-
-  /// lag engine only guarantees causality one lookahead out).
+  /// is byte-identical to the fault-free simulator. Every fault decision is
+  /// a pure hash of (plan seed, injection id, attempt), so the batch and
+  /// strictly-ordered kernels agree and faulted results stay byte-identical
+  /// at every SIMD setting. A plan with retry_timeout != 0 must satisfy
+  /// retry_timeout >= lookahead(cfg): like every successor event, a retry
+  /// must land in a later window than the one being processed, whose
+  /// population is fixed when it opens.
   const fault::FaultPlan* faults = nullptr;
   /// Fault-aware rerouting (opt-in). When the attached plan carries link
   /// kill intervals (LinkFault::degrade == 0), routes become epoch-stamped:
@@ -103,8 +94,8 @@ struct PacketSimConfig {
   /// route of its dispatch epoch (injection or retry instant); a retry
   /// whose re-dispatch lands in a different epoch recommits, so traffic
   /// detours around an outage and returns to the base route after the heal.
-  /// All variants are resolved in the serial pre-pass, so results stay
-  /// byte-identical at every sim_threads and SIMD setting (pinned by
+  /// All variants are resolved in the pre-pass, so results stay
+  /// byte-identical at every SIMD setting (pinned by
   /// tests/test_packet_sim.cpp). Default off: historical kill-fault
   /// behavior — drop-and-retry on the dead route — is byte-identical to
   /// before the flag existed.
@@ -112,9 +103,9 @@ struct PacketSimConfig {
   /// Optional model-checker branch oracle (see sim/choice.hpp), consulted at
   /// the packet engine's kDrop choice points (the fault plan's drop verdict
   /// becomes alternative 0, its negation alternative 1). Attaching an oracle
-  /// forces the strictly in-order scalar kernel on a single shard — choice
-  /// consultation order must be the canonical event order, which the batch
-  /// kernel's survivor grouping does not preserve — so an oracle that
+  /// forces the strictly in-order scalar kernel — choice consultation order
+  /// must be the canonical event order, which the batch kernel's survivor
+  /// grouping does not preserve — so an oracle that
   /// returns 0 everywhere reproduces the oracle-free run byte-for-byte
   /// (pinned by tests/test_packet_sim.cpp, observable as
   /// net.kernel.mc_windows). Ignored without an active fault plan. A
@@ -153,24 +144,15 @@ struct PacketSimResult {
 PacketSimResult run_packet_sim(const Topology& topo,
                                const PacketSimConfig& cfg);
 
-/// Conservative lookahead of the parallel engine: every cross-shard
-/// interaction is carried by a packet hop of at least `hop_delay + phits`
-/// cycles, so an event processed at time t can only influence times
-/// >= t + lookahead — shards advancing in lock-step windows of this width
-/// never violate causality (derivation in DESIGN.md: this is the per-hop
-/// share of LogP's L, the same bounded-synchronization structure BSP-style
-/// supersteps exploit).
+/// Lookahead of the window engine: every interaction is carried by a
+/// packet hop of at least `hop_delay + phits` cycles, so an event processed
+/// at time t can only influence times >= t + lookahead. The engine advances
+/// in aligned windows of this width, and a window's population is fixed
+/// when it opens (derivation in DESIGN.md: this is the per-hop share of
+/// LogP's L).
 inline Cycles lookahead(const PacketSimConfig& cfg) {
   return cfg.hop_delay + static_cast<Cycles>(cfg.phits);
 }
-
-/// Link -> shard ownership map of the parallel engine: round-robin over the
-/// dense link ids (first-touch order clusters ids spatially, so round-robin
-/// spreads a mesh's hot center links across shards). Every link is owned by
-/// exactly one shard — only the owner ever touches its channel state.
-/// Exposed for tests/test_packet_sim.cpp.
-std::vector<std::int32_t> assign_link_shards(std::size_t num_links,
-                                             int shards);
 
 /// Unloaded end-to-end time for one packet over `hops` hops.
 inline double unloaded_packet_time(const PacketSimConfig& cfg, double hops) {

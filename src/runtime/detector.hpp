@@ -25,7 +25,7 @@
 //
 // Everything here is a deterministic function of simulated time: send
 // instants and check instants are fixed cycles, the reliable layer is
-// deterministic, so every run — at any --sim-threads or SIMD setting —
+// deterministic, so every run — at any --threads or SIMD setting —
 // produces the same verdict sequence.
 //
 // Known limitation, by design: a processor listed in the fault plan's

@@ -1,12 +1,12 @@
 // Reusable worker-thread pool shared by every intra-process parallel layer.
 //
-// PR 1's sweep harness spawned fresh std::threads on every run() call; the
-// bounded-lag packet simulator (net/packet_sim.cpp) dispatches thousands of
-// short windows per run, where thread spawn/join latency would dwarf the
-// work. This pool keeps workers resident: a dispatch is one atomic epoch
+// The sweep harness (exp::SweepRunner), the model checker's shard fan-out
+// and Topology::average_distance all dispatch through it; spawning fresh
+// std::threads per call would charge thread spawn/join latency to every
+// sweep. This pool keeps workers resident: a dispatch is one atomic epoch
 // bump plus (for sleeping workers) a condition-variable notify, and idle
-// workers spin briefly before sleeping so back-to-back dispatches — the
-// window cadence of the parallel simulator — stay in the fast path.
+// workers spin briefly before sleeping so back-to-back dispatches stay in
+// the fast path.
 //
 // Semantics (deliberately identical to the old SweepRunner inline pool):
 //
@@ -18,10 +18,9 @@
 //    lowest-index one is rethrown — failure behaviour never depends on
 //    worker interleaving.
 //  * Reentrancy: a for_index issued from inside a pool task (nested
-//    parallelism, e.g. a parallel packet sim inside a sweep worker) runs
+//    parallelism, e.g. a parallel route walk inside a sweep worker) runs
 //    inline on the caller, serially. Every parallel algorithm built on the
-//    pool must therefore be correct under serial execution of its tasks —
-//    the windowed simulator is (tasks within a window are independent) —
+//    pool must therefore be correct under serial execution of its tasks,
 //    and nested use degrades to the explicit nesting policy of
 //    exp::SweepRunner instead of deadlocking or oversubscribing.
 #pragma once

@@ -2,10 +2,9 @@
 //
 //  * An empty FaultPlan is indistinguishable from no plan at all — the
 //    engines take their unmodified fast paths, bit for bit.
-//  * A seeded plan is deterministic at every sim_threads value: fault
-//    decisions are pure hashes of (seed, injection id, attempt), never of
-//    processing order, so the serial and bounded-lag parallel engines agree
-//    on the full result + telemetry surface.
+//  * A seeded plan is deterministic: fault decisions are pure hashes of
+//    (seed, injection id, attempt), never of processing order, so repeat
+//    runs agree on the full result + telemetry surface.
 //  * Loss accounting closes: a fully drained run leaves nothing undrained —
 //    every injection is either delivered or declared lost.
 //  * Degradation is monotone in the drop rate.
@@ -105,7 +104,7 @@ TEST(FaultPlan, EmptyPlanIsByteIdenticalToNoPlan) {
   EXPECT_EQ(with_plan.retransmitted, 0);
 }
 
-TEST(FaultPlan, SeededPlanThreadCountInvariant) {
+TEST(FaultPlan, SeededPlanDeterministicAcrossRuns) {
   const auto topo = net::make_mesh2d(8, 8, true);
   net::PacketSimConfig base = base_config();
   const fault::FaultPlan fp = lossy_plan(base);
@@ -113,24 +112,19 @@ TEST(FaultPlan, SeededPlanThreadCountInvariant) {
   obs::NetTelemetry ref_telem;
   ref_telem.sample_every = 500;
   base.telemetry = &ref_telem;
-  base.sim_threads = 1;
   const auto ref = net::run_packet_sim(*topo, base);
   // The plan actually bites — otherwise this test pins nothing.
   EXPECT_GT(ref.dropped, 0);
   EXPECT_GT(ref.corrupted, 0);
   EXPECT_GT(ref.retransmitted, 0);
   EXPECT_FALSE(ref_telem.retransmits.empty());
-  for (const int threads : {2, 4, 8}) {
-    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-    net::PacketSimConfig cfg = base;
-    obs::NetTelemetry telem;
-    telem.sample_every = 500;
-    cfg.telemetry = &telem;
-    cfg.sim_threads = threads;
-    const auto r = net::run_packet_sim(*topo, cfg);
-    expect_same_run(ref, r);
-    expect_same_telemetry(ref_telem, telem);
-  }
+  net::PacketSimConfig cfg = base;
+  obs::NetTelemetry telem;
+  telem.sample_every = 500;
+  cfg.telemetry = &telem;
+  const auto r = net::run_packet_sim(*topo, cfg);
+  expect_same_run(ref, r);
+  expect_same_telemetry(ref_telem, telem);
 }
 
 TEST(FaultPlan, LossAccountingCloses) {

@@ -163,6 +163,16 @@ TEST(Sweep, ThreadsFromArgs) {
     EXPECT_EQ(argc, 1);
   }
   {
+    // The flag need not lead argv; only it and its value are consumed.
+    const char* raw[] = {"prog", "--ci", "--threads", "2"};
+    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1]),
+                    const_cast<char*>(raw[2]), const_cast<char*>(raw[3])};
+    int argc = 4;
+    EXPECT_EQ(threads_from_args(argc, argv), 2);
+    EXPECT_EQ(argc, 2);
+    EXPECT_STREQ(argv[1], "--ci");
+  }
+  {
     const char* raw[] = {"prog"};
     char* argv[] = {const_cast<char*>(raw[0])};
     int argc = 1;
@@ -199,34 +209,6 @@ TEST(Sweep, NestingPolicyDividesOuterBudget) {
   // inner_threads = 1 (the default) leaves an explicit outer budget alone.
   EXPECT_EQ(SweepRunner({3, 1}).threads(), 3);
   EXPECT_EQ(SweepRunner({3}).inner_threads(), 1);
-}
-
-TEST(Sweep, SimThreadsFromArgs) {
-  {
-    // Both flags in one argv: each parser consumes only its own.
-    const char* raw[] = {"prog", "--sim-threads", "4", "--threads", "2"};
-    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1]),
-                    const_cast<char*>(raw[2]), const_cast<char*>(raw[3]),
-                    const_cast<char*>(raw[4])};
-    int argc = 5;
-    EXPECT_EQ(sim_threads_from_args(argc, argv), 4);
-    EXPECT_EQ(argc, 3);
-    EXPECT_EQ(threads_from_args(argc, argv), 2);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    const char* raw[] = {"prog", "--sim-threads=8"};
-    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1])};
-    int argc = 2;
-    EXPECT_EQ(sim_threads_from_args(argc, argv), 8);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    const char* raw[] = {"prog"};
-    char* argv[] = {const_cast<char*>(raw[0])};
-    int argc = 1;
-    EXPECT_EQ(sim_threads_from_args(argc, argv, 3), 3);
-  }
 }
 
 TEST(Sweep, RunnerStaysUsableAfterFailure) {
