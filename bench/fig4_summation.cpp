@@ -22,6 +22,8 @@ Cycles simulate(const Params& prm, const SumSchedule& sched_def,
   sim::MachineConfig cfg;
   cfg.params = prm;
   cfg.record_trace = flags.wants_trace();
+  obs::MetricsRegistry metrics;
+  if (!flags.metrics_csv.empty()) cfg.metrics = &metrics;
   runtime::Scheduler sched(cfg);
   sched.set_program([&](runtime::Ctx ctx) -> runtime::Task {
     return runtime::coll::reduce_optimal(
@@ -29,14 +31,15 @@ Cycles simulate(const Params& prm, const SumSchedule& sched_def,
   });
   const Cycles end = sched.run();
   obs::emit_machine_obs(flags, sched.machine(), "fig4 worked example",
-                        std::cout);
+                        std::cout, &metrics);
   return end;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --trace / --profile / --trace-json FILE apply to the worked example.
+  // --trace / --profile / --trace-json FILE / --metrics-csv FILE apply to
+  // the worked example.
   const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
   if (const int rc = exp::reject_unknown_flags(
           argc, argv,

@@ -71,13 +71,18 @@ int main(int argc, char** argv) {
   // trace counter tracks, --metrics-csv FILE their engine counters. Defaults
   // off: the summary tables stay byte-stable.
   const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(
-          argc, argv,
-          "[--threads N] [--profile] [--trace-json FILE] "
-          "[--metrics-csv FILE]"))
-    return rc;
+  const char* const usage =
+      "[--threads N] [--profile] [--trace-json FILE] [--metrics-csv FILE]";
+  if (const int rc = exp::reject_unknown_flags(argc, argv, usage)) return rc;
   if (const int rc = obs::reject_machine_only_flags(obs_flags, argv[0]))
     return rc;
+  // The exemplar points print their link tables under --profile; there is
+  // no single run whose per-link CSV --links-csv could name.
+  if (!obs_flags.links_csv.empty()) {
+    std::fprintf(stderr, "%s: --links-csv is not supported\nusage: %s %s\n",
+                 argv[0], argv[0], usage);
+    return 2;
+  }
   std::cout << "== Section 5.3: latency vs offered load (packet-level) ==\n\n";
 
   std::vector<std::unique_ptr<net::Topology>> topos;

@@ -30,6 +30,8 @@ Result run_train(const Params& prm, std::uint64_t words, Cycles overlap,
   sim::MachineConfig cfg;
   cfg.params = prm;
   cfg.record_trace = flags != nullptr && flags->wants_trace();
+  obs::MetricsRegistry metrics;
+  if (flags != nullptr && !flags->metrics_csv.empty()) cfg.metrics = &metrics;
   runtime::Scheduler sched(cfg);
   sched.set_program([&](Ctx ctx) -> Task {
     return [](Ctx c, std::uint64_t w, Cycles ov) -> Task {
@@ -48,7 +50,7 @@ Result run_train(const Params& prm, std::uint64_t words, Cycles overlap,
   r.sender_cpu_busy = sched.machine().stats(0).busy();
   if (flags != nullptr)
     obs::emit_machine_obs(*flags, sched.machine(), "small-message train",
-                          std::cout);
+                          std::cout, &metrics);
   return r;
 }
 
@@ -57,6 +59,8 @@ Result run_dma(const Params& prm, std::uint64_t words, Cycles overlap,
   sim::MachineConfig cfg;
   cfg.params = prm;
   cfg.record_trace = flags != nullptr && flags->wants_trace();
+  obs::MetricsRegistry metrics;
+  if (flags != nullptr && !flags->metrics_csv.empty()) cfg.metrics = &metrics;
   runtime::Scheduler sched(cfg);
   sched.set_program([&](Ctx ctx) -> Task {
     return [](Ctx c, std::uint64_t w, Cycles ov, Cycles G) -> Task {
@@ -72,7 +76,8 @@ Result run_dma(const Params& prm, std::uint64_t words, Cycles overlap,
   r.total = sched.run();
   r.sender_cpu_busy = sched.machine().stats(0).busy();
   if (flags != nullptr)
-    obs::emit_machine_obs(*flags, sched.machine(), "dma stream", std::cout);
+    obs::emit_machine_obs(*flags, sched.machine(), "dma stream", std::cout,
+                          &metrics);
   return r;
 }
 

@@ -27,6 +27,8 @@ Cycles simulate_broadcast(const Params& prm,
   sim::MachineConfig cfg;
   cfg.params = prm;
   cfg.record_trace = flags != nullptr && flags->wants_trace();
+  obs::MetricsRegistry metrics;
+  if (flags != nullptr && !flags->metrics_csv.empty()) cfg.metrics = &metrics;
   runtime::Scheduler sched(cfg);
   std::vector<std::uint64_t> value(static_cast<std::size_t>(prm.P), 1);
   sched.set_program([&](runtime::Ctx ctx) -> runtime::Task {
@@ -36,7 +38,7 @@ Cycles simulate_broadcast(const Params& prm,
   const Cycles end = sched.run();
   if (flags != nullptr)
     obs::emit_machine_obs(*flags, sched.machine(), "optimal broadcast P=64",
-                          std::cout);
+                          std::cout, &metrics);
   return end;
 }
 

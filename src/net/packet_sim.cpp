@@ -465,7 +465,7 @@ struct SimContext {
   Cycles service;
   std::size_t reserve;
   /// Non-null only when the config carries a plan with active packet-level
-  /// faults — so a null pointer IS the fault-free fast path.
+  /// faults — so a null pointer IS the fault-free, verdict-free path.
   const fault::FaultPlan* faults;
   /// Non-null only when cfg.reroute engaged (plan has kill intervals):
   /// epoch-stamped route variants plus the injection -> pair-id map.
@@ -547,11 +547,7 @@ class Engine {
   explicit Engine(const SimContext& sc)
       : sc_(sc),
         fp_(sc.faults),
-        oracle_(
-#ifndef LOGP_MC_DISABLED
-            sc.faults != nullptr ? sc.cfg.oracle :
-#endif
-                                 nullptr),
+        ordered_(sc.faults != nullptr && util::simd::force_scalar()),
         service_(sc.service),
         csort_(sc.service <= 1024),
         drain_(sc.cfg.drain_limit),
@@ -649,7 +645,6 @@ class Engine {
     m->counter("net.kernel.simd_windows")->add(simd_windows_);
     m->counter("net.kernel.faulted_simd_windows")->add(faulted_simd_windows_);
     m->counter("net.kernel.scalar_windows")->add(scalar_windows_);
-    m->counter("net.kernel.mc_windows")->add(mc_windows_);
     m->counter("net.sort.counting_windows")->add(csort_windows_);
     m->counter("net.sort.radix_windows")->add(radix_windows_);
     m->counter("net.sort.fallbacks")->add(sort_fallbacks_);
@@ -872,16 +867,10 @@ class Engine {
     }
     if (n > 0) {
       last_t_ = wbase + static_cast<Cycles>(ev[n - 1].key >> 32);
-      if (fp_ != nullptr) {
-        // An attached oracle must see choice points in canonical event
-        // order, which only the strictly-ordered kernel walks.
-        if (oracle_ != nullptr)
-          window_faulted(wbase, ev, n);
-        else
-          window_faulted_batch(wbase, ev, n);
-      } else {
-        window_fast(wbase, ev, n);
-      }
+      if (ordered_)
+        window_faulted(wbase, ev, n);
+      else
+        window_batch(wbase, ev, n);
     }
     buf.clear();
     ++epoch_;
@@ -909,96 +898,13 @@ class Engine {
     return nw;
   }
 
-  /// Fault-free window kernel. Two passes over the sorted buffer:
-  ///
-  ///  1. Classification: a SIMD sign-mask of the link column splits each
-  ///     64-event block into deliveries (recorded immediately — they touch
-  ///     no shared state) and link traversals, which are chained per link
-  ///     in buffer order (= canonical order).
-  ///  2. Arbitration: per touched link, walk its chain with the channel
-  ///     span hot in registers/L1 — the SIMD first-minimum scan amortizes
-  ///     over every event on that link in the window.
-  ///
-  /// Reordering across links is invisible: links are independent resources,
-  /// per-link subsequences stay canonical, and all statistics flow through
-  /// the canonical replay in reduce().
-  void window_fast(Cycles wbase, const WEvent* ev, std::size_t n) {
-    ++simd_windows_;
-    mask_words_.resize((n + 63) / 64);
-    util::simd::negative_mask_i32_stride(&ev[0].link, n,
-                                         sizeof(WEvent) / sizeof(std::int32_t),
-                                         mask_words_.data());
-    chain_next_.resize(n);
-    touched_.clear();
-    const std::uint64_t emark = static_cast<std::uint64_t>(++epoch_) << 32;
-    for (std::size_t base = 0; base < n; base += 64) {
-      const std::uint64_t del = mask_words_[base / 64];
-      const std::size_t cnt = std::min<std::size_t>(64, n - base);
-      for (std::uint64_t m = del; m != 0; m &= m - 1) {
-        const std::size_t i =
-            base + static_cast<std::size_t>(__builtin_ctzll(m));
-        deliveries_.push_back(
-            {wbase + static_cast<Cycles>(ev[i].key >> 32),
-             static_cast<std::int32_t>(static_cast<std::uint32_t>(ev[i].key)),
-             DKind::kDelivered});
-      }
-      const std::uint64_t valid =
-          cnt == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << cnt) - 1;
-      for (std::uint64_t m = ~del & valid; m != 0; m &= m - 1) {
-        const auto i = static_cast<std::int32_t>(
-            base + static_cast<std::size_t>(__builtin_ctzll(m)));
-        const std::int32_t l = ev[i].link;
-        chain_next_[static_cast<std::size_t>(i)] = -1;
-        std::uint64_t& mark = link_mark_[static_cast<std::size_t>(l)];
-        if ((mark & ~std::uint64_t{0xffffffff}) != emark) {
-          mark = emark | static_cast<std::uint32_t>(i);
-          touched_.push_back(l);
-        } else {
-          chain_next_[static_cast<std::size_t>(
-              link_tail_[static_cast<std::size_t>(l)])] = i;
-        }
-        link_tail_[static_cast<std::size_t>(l)] = i;
-      }
-    }
-    Cycles* const chans = sc_.links.channel_data();
-    const Cycles service = service_;
-    for (const std::int32_t l : touched_) {
-      Cycles* const span = chans + sc_.links.channel_offset(l);
-      const auto cnt = static_cast<std::size_t>(sc_.links.channels(l));
-      for (std::int32_t i = static_cast<std::int32_t>(static_cast<std::uint32_t>(
-               link_mark_[static_cast<std::size_t>(l)]));
-           i != -1; i = chain_next_[static_cast<std::size_t>(i)]) {
-        const WEvent& e = ev[i];
-        const Cycles t = wbase + static_cast<Cycles>(e.key >> 32);
-        const std::size_t c =
-            cnt == 1 ? 0 : util::simd::first_min_index_i64(span, cnt);
-        const Cycles start = t > span[c] ? t : span[c];
-        span[c] = start + service;
-        if (telem_)
-          accumulate_link(link_acc_[static_cast<std::size_t>(l)], service,
-                          start - t);
-        const auto inj =
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(e.key));
-        const RouteRef& rr = sc_.refs[static_cast<std::size_t>(inj)];
-        const std::int32_t nhop = static_cast<std::int32_t>(e.hop) + 1;
-        const std::int32_t nlink = nhop == rr.hops ? -1 : rr.span[nhop];
-        push_event(start + service, inj, nlink,
-                   static_cast<std::uint16_t>(nhop), 0);
-      }
-    }
-  }
-
   /// Strictly-ordered faulted kernel: walks the sorted buffer one event at
-  /// a time in canonical (t, inj) order, exactly like the pre-batch
-  /// engines. Since the batch kernel below took over plain faulted runs,
-  /// this path serves the model checker: an attached ChoiceOracle is
-  /// consulted at each droppable link traversal, and consultation order
-  /// must be the canonical event order — which the batch kernel's survivor
-  /// grouping does not preserve. It is also the reference implementation
-  /// the batch kernel is pinned byte-identical against.
+  /// a time in canonical (t, inj) order. It is the scalar reference the
+  /// batch kernel is pinned byte-identical against, selected only by the
+  /// test switch util::simd::set_force_scalar (fault-free windows have no
+  /// ordered form and stay on the batch kernel).
   void window_faulted(Cycles wbase, const WEvent* ev, std::size_t n) {
     ++scalar_windows_;
-    if (oracle_ != nullptr) ++mc_windows_;
     for (std::size_t x = 0; x < n; ++x) {
       const WEvent& e = ev[x];
       const Cycles t = wbase + static_cast<Cycles>(e.key >> 32);
@@ -1018,26 +924,10 @@ class Engine {
       const auto [lu, lv] = sc_.links.endpoints(e.link);
       const int deg = fp_->link_degrade(lu, lv, t);
       const RouteRef& rr = sc_.refs[static_cast<std::size_t>(inj)];
-      // A dead link is a fact, not a choice — only the hash drop verdict is
-      // a kDrop choice point the oracle may override (alternative 0 keeps
-      // the plan's verdict, so a 0-everywhere oracle reproduces the
-      // oracle-free trajectory exactly).
-      bool doomed = deg == 0;
-      if (!doomed) {
-        bool verdict = fp_->drop_attempt(inj, e.attempt) &&
+      const bool doomed =
+          deg == 0 || (fp_->drop_attempt(inj, e.attempt) &&
                        static_cast<int>(e.hop) ==
-                           fp_->drop_hop(inj, e.attempt, rr.hops);
-#ifndef LOGP_MC_DISABLED
-        if (oracle_ != nullptr) {
-          const std::uint64_t labels[2] = {verdict ? 1u : 0u,
-                                           verdict ? 0u : 1u};
-          const int k = oracle_->choose(sim::ChoiceKind::kDrop, 2, labels);
-          LOGP_CHECK(k == 0 || k == 1);
-          if (k == 1) verdict = !verdict;
-        }
-#endif
-        doomed = verdict;
-      }
+                           fp_->drop_hop(inj, e.attempt, rr.hops));
       if (doomed) {
         ++dropped_;
         if (telem_) ++link_acc_[static_cast<std::size_t>(e.link)].drops;
@@ -1060,49 +950,58 @@ class Engine {
     }
   }
 
-  /// Faulted batch kernel (fault plan active, no oracle): the two-pass
-  /// shape of window_fast with the fault decisions hoisted into one
-  /// vectorized hash pass.
+  /// The window kernel, with or without a fault plan. Two passes over the
+  /// sorted buffer:
   ///
-  ///  1. Verdicts. A single SplitMix64 batch (FaultPlan::verdict_mask)
+  ///  1. Classification and verdicts. A SIMD sign-mask of the link column
+  ///     splits each 64-event block into deliveries and link traversals.
+  ///     With a plan, a single SplitMix64 batch (FaultPlan::verdict_mask)
   ///     decides corrupt for deliveries and rate-drop for link traversals
   ///     in one sweep; the drop-hop refinement then touches only
   ///     hash-flagged events, and the dead/degraded-link memo only runs
-  ///     when the plan has link faults at all. The result per 64-event
-  ///     block is a terminal mask: events that end in an outcome record
-  ///     this window.
-  ///  2. Records and chains. Outcome records (clean deliveries, corrupted
-  ///     or dropped attempts) are emitted walking the delivery|terminal
-  ///     mask in buffer order — exactly the interleaving the ordered
-  ///     kernel produces — while surviving traversals chain per link and
-  ///     arbitrate like the fault-free kernel, with the service span
-  ///     scaled by the link's degrade factor.
+  ///     when the plan has link faults at all. The result per block is a
+  ///     terminal mask: events that end in an outcome record this window.
+  ///     Without a plan the verdict word is 0, so nothing is terminal.
+  ///  2. Records, chains and arbitration. Outcome records (clean
+  ///     deliveries, corrupted or dropped attempts) are emitted walking the
+  ///     delivery|terminal mask in buffer order, while surviving traversals
+  ///     chain per link in buffer order (= canonical order). Each touched
+  ///     link then walks its chain with the channel span hot in L1 — the
+  ///     SIMD first-minimum scan amortizes over every event on that link in
+  ///     the window — with the service span scaled by the link's degrade
+  ///     factor.
   ///
-  /// Byte-identity with window_faulted() is structural: verdicts are
-  /// bit-exact (the integer-threshold form of the same hashes), record
-  /// order is canonical either way, per-link arbitration sees the same
-  /// canonical subsequence, and successor push order is laundered by
-  /// sort_window() — pinned across every fault type and SIMD setting by
-  /// tests/test_packet_sim.cpp.
-  void window_faulted_batch(Cycles wbase, const WEvent* ev, std::size_t n) {
-    ++faulted_simd_windows_;
+  /// Reordering across links is invisible: links are independent resources,
+  /// per-link subsequences stay canonical, and all statistics flow through
+  /// the canonical replay in reduce(). Byte-identity with window_faulted()
+  /// is structural: verdicts are bit-exact (the integer-threshold form of
+  /// the same hashes), record order is canonical either way, per-link
+  /// arbitration sees the same canonical subsequence, and successor push
+  /// order is laundered by sort_window() — pinned across every fault type
+  /// and SIMD setting by tests/test_packet_sim.cpp.
+  void window_batch(Cycles wbase, const WEvent* ev, std::size_t n) {
     const std::size_t nwords = (n + 63) / 64;
     mask_words_.resize(nwords);
     util::simd::negative_mask_i32_stride(&ev[0].link, n,
                                          sizeof(WEvent) / sizeof(std::int32_t),
                                          mask_words_.data());
-    stage_inj_.resize(n);
-    stage_att_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stage_inj_[i] = static_cast<std::uint32_t>(ev[i].key);
-      stage_att_[i] = ev[i].attempt;
+    const bool lf = fp_ != nullptr && !fp_->link_faults.empty();
+    if (fp_ != nullptr) {
+      ++faulted_simd_windows_;
+      stage_inj_.resize(n);
+      stage_att_.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        stage_inj_[i] = static_cast<std::uint32_t>(ev[i].key);
+        stage_att_[i] = ev[i].attempt;
+      }
+      verdict_words_.resize(nwords);
+      fp_->verdict_mask(mask_words_.data(), stage_inj_.data(),
+                        stage_att_.data(), n, vscratch_,
+                        verdict_words_.data());
+      if (lf) stage_deg_.resize(n);
+    } else {
+      ++simd_windows_;
     }
-    verdict_words_.resize(nwords);
-    fp_->verdict_mask(mask_words_.data(), stage_inj_.data(),
-                      stage_att_.data(), n, vscratch_,
-                      verdict_words_.data());
-    const bool lf = !fp_->link_faults.empty();
-    if (lf) stage_deg_.resize(n);
     chain_next_.resize(n);
     touched_.clear();
     const std::uint64_t emark = static_cast<std::uint64_t>(++epoch_) << 32;
@@ -1111,7 +1010,8 @@ class Engine {
       const std::uint64_t valid =
           cnt == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << cnt) - 1;
       const std::uint64_t del = mask_words_[base / 64];
-      const std::uint64_t ver = verdict_words_[base / 64];
+      const std::uint64_t ver =
+          fp_ != nullptr ? verdict_words_[base / 64] : 0;
       // Terminal = corrupted deliveries, dead-link traversals, and
       // rate-flagged traversals whose hash drop-hop is this hop. The
       // ordered kernel never consults the drop hash on a dead link, but
@@ -1158,7 +1058,7 @@ class Engine {
           retry_or_lose(t, inj, ev[i].attempt, ev[i].link);
         }
       }
-      // Surviving link traversals chain per link, as in window_fast.
+      // Surviving link traversals chain per link.
       for (std::uint64_t m = ~(del | term) & valid; m != 0; m &= m - 1) {
         const auto i = static_cast<std::int32_t>(
             base + static_cast<std::size_t>(__builtin_ctzll(m)));
@@ -1383,9 +1283,9 @@ class Engine {
 
   const SimContext& sc_;
   const fault::FaultPlan* const fp_;
-  /// Non-null only with both a fault plan and a cfg.oracle in an LOGP_MC
-  /// build; selects the strictly-ordered kernel (see dispatch).
-  sim::ChoiceOracle* const oracle_;
+  /// Faulted windows take the strictly-ordered reference kernel (set only
+  /// under util::simd::force_scalar, the test switch).
+  const bool ordered_;
   const Cycles service_;
   const bool csort_;  ///< counting sort viable (dt range small enough)
   // Radix plan (0 passes = radix not viable, use counting + introsort).
@@ -1449,10 +1349,9 @@ class Engine {
   std::int64_t wheel_peak_ = 0;     ///< max single-bucket occupancy seen
   std::int64_t l2_pushes_ = 0;      ///< events staged through the frame wheel
   std::int64_t heap_spills_ = 0;    ///< events past both wheel horizons
-  std::int64_t simd_windows_ = 0;   ///< fast-kernel (SIMD-path) dispatches
+  std::int64_t simd_windows_ = 0;   ///< batch-kernel windows, no plan
   std::int64_t scalar_windows_ = 0; ///< strictly-ordered kernel dispatches
-  std::int64_t faulted_simd_windows_ = 0;  ///< faulted batch-kernel dispatches
-  std::int64_t mc_windows_ = 0;     ///< oracle-attended ordered dispatches
+  std::int64_t faulted_simd_windows_ = 0;  ///< batch-kernel windows, plan
   std::int64_t csort_windows_ = 0;  ///< counting-sorted window buffers
   std::int64_t radix_windows_ = 0;  ///< of those, LSD-radix-sorted (large n)
   std::int64_t sort_fallbacks_ = 0; ///< std::sort fallback window buffers
@@ -1481,7 +1380,7 @@ PacketSimResult run_packet_sim(const Topology& topo,
   util::Xoshiro256StarStar rng(cfg.seed);
 
   // A null plan and a plan with no packet-level faults are the same thing
-  // from here on: fp == nullptr selects the untouched fast path, so both
+  // from here on: fp == nullptr selects the verdict-free path, so both
   // produce output byte-identical to the pre-fault simulator.
   const fault::FaultPlan* fp = nullptr;
   if (cfg.faults != nullptr) {
@@ -1612,15 +1511,11 @@ PacketSimResult run_packet_sim(const Topology& topo,
   // ceil(diameter * service * rate) expected in-flight packets per
   // endpoint. Saturated runs may exceed any static bound and regrow.
   const std::size_t reserve =
-      cfg.reserve_packets > 0
-          ? static_cast<std::size_t>(cfg.reserve_packets)
-          : static_cast<std::size_t>(P) *
-                static_cast<std::size_t>(std::max<Cycles>(
-                    1, static_cast<Cycles>(std::ceil(
-                           static_cast<double>(std::max(
-                               1, topo.diameter_hops())) *
-                           static_cast<double>(service) *
-                           cfg.injection_rate))));
+      static_cast<std::size_t>(P) *
+      static_cast<std::size_t>(std::max<Cycles>(
+          1, static_cast<Cycles>(std::ceil(
+                 static_cast<double>(std::max(1, topo.diameter_hops())) *
+                 static_cast<double>(service) * cfg.injection_rate))));
 
   const SimContext sc{topo,
                       cfg,

@@ -15,7 +15,6 @@
 
 #include "fault/fault.hpp"
 #include "net/topology.hpp"
-#include "sim/choice.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -50,14 +49,6 @@ struct PacketSimConfig {
   Cycles duration = 20000;     ///< measured injection window
   Cycles drain_limit = 400000; ///< give up draining after this absolute time
   std::uint64_t seed = 0x9a7e;
-  /// Event-store capacity to pre-reserve; 0 = auto from the ceil(L/g)
-  /// capacity bound: num_endpoints x ceil(diameter_hops x service x rate),
-  /// LogP's per-endpoint ceil(L/g) with L = diameter_hops x service (the
-  /// worst-case unloaded transit time) and g = 1/injection_rate (the mean
-  /// inter-injection gap) — the expected peak in-flight population, so the
-  /// steady state never regrows a hot-path buffer. Saturated runs may
-  /// exceed any static bound and are allowed to regrow.
-  std::int64_t reserve_packets = 0;
   /// Optional telemetry sink (see obs/net_telemetry.hpp): per-link
   /// utilization / queue waits plus a sampled in-flight series. Attaching a
   /// sink is purely observational — RNG draws, event order and every
@@ -67,23 +58,25 @@ struct PacketSimConfig {
   /// engine publishes net.wheel.* (time-wheel pushes, peak bucket occupancy
   /// and l2_pushes — events staged through the 64-frame second-level
   /// wheel), net.heap.spills (events past both wheel horizons),
-  /// net.kernel.{simd,faulted_simd,scalar,mc}_windows (fault-free batch,
-  /// faulted batch, strictly-ordered, and oracle-attended dispatches)
-  /// and net.sort.{counting_windows,fallbacks} once, after the run.
-  /// Attaching it never changes PacketSimResult (pinned by tests). The
-  /// kernel-dispatch counters depend on which kernels the build selects, so
-  /// byte-identity tests across SIMD settings exclude them. Same ownership
-  /// rules as the machine's registry: one owner, must outlive the run.
+  /// net.kernel.{simd,faulted_simd,scalar}_windows (batch-kernel windows
+  /// without and with a fault plan, and faulted windows walked by the
+  /// strictly-ordered reference kernel, which only
+  /// util::simd::set_force_scalar selects) and
+  /// net.sort.{counting,radix}_windows / net.sort.fallbacks once, after the
+  /// run. Attaching it never changes PacketSimResult (pinned by tests). The
+  /// kernel-dispatch counters depend on the SIMD setting, so byte-identity
+  /// tests across SIMD settings exclude them. Same ownership rules as the
+  /// machine's registry: one owner, must outlive the run.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional deterministic fault plan (see fault/fault.hpp). Null — or a
-  /// plan with no packet-level faults — takes the unmodified fast path and
-  /// is byte-identical to the fault-free simulator. Every fault decision is
-  /// a pure hash of (plan seed, injection id, attempt), so the batch and
-  /// strictly-ordered kernels agree and faulted results stay byte-identical
-  /// at every SIMD setting. A plan with retry_timeout != 0 must satisfy
-  /// retry_timeout >= lookahead(cfg): like every successor event, a retry
-  /// must land in a later window than the one being processed, whose
-  /// population is fixed when it opens.
+  /// plan with no packet-level faults — takes the verdict-free path and is
+  /// byte-identical to the fault-free simulator. Every fault decision is a
+  /// pure hash of (plan seed, injection id, attempt), so the batch kernel
+  /// and its strictly-ordered reference agree and faulted results stay
+  /// byte-identical at every SIMD setting. A plan with retry_timeout != 0
+  /// must satisfy retry_timeout >= lookahead(cfg): like every successor
+  /// event, a retry must land in a later window than the one being
+  /// processed, whose population is fixed when it opens.
   const fault::FaultPlan* faults = nullptr;
   /// Fault-aware rerouting (opt-in). When the attached plan carries link
   /// kill intervals (LinkFault::degrade == 0), routes become epoch-stamped:
@@ -100,17 +93,6 @@ struct PacketSimConfig {
   /// behavior — drop-and-retry on the dead route — is byte-identical to
   /// before the flag existed.
   bool reroute = false;
-  /// Optional model-checker branch oracle (see sim/choice.hpp), consulted at
-  /// the packet engine's kDrop choice points (the fault plan's drop verdict
-  /// becomes alternative 0, its negation alternative 1). Attaching an oracle
-  /// forces the strictly in-order scalar kernel — choice consultation order
-  /// must be the canonical event order, which the batch kernel's survivor
-  /// grouping does not preserve — so an oracle that
-  /// returns 0 everywhere reproduces the oracle-free run byte-for-byte
-  /// (pinned by tests/test_packet_sim.cpp, observable as
-  /// net.kernel.mc_windows). Ignored without an active fault plan. A
-  /// -DLOGP_MC=OFF build compiles the consultation sites out entirely.
-  sim::ChoiceOracle* oracle = nullptr;
 };
 
 struct PacketSimResult {

@@ -70,9 +70,10 @@ void write_file(const std::string& path, const std::string& content,
                 std::ostream& err = std::cerr);
 
 /// Emits everything the flags ask for from one finished machine run.
-/// `metrics` may be null (then --metrics-csv writes an empty registry note).
-/// `cp` is the recorder the caller attached when flags.wants_critpath();
-/// when present its analysis also overlays the Chrome trace.
+/// `metrics` is the registry the caller attached to the run; it may be null
+/// only when --metrics-csv is off. `cp` is the recorder the caller attached
+/// when flags.wants_critpath(); when present its analysis also overlays the
+/// Chrome trace.
 /// Header-only so logp_obs does not link logp_sim.
 inline void emit_machine_obs(const ObsFlags& flags, const sim::Machine& m,
                              const std::string& label, std::ostream& out,
@@ -104,8 +105,11 @@ inline void emit_machine_obs(const ObsFlags& flags, const sim::Machine& m,
     if (!rep.empty()) w.add_critical_path(rep);
     write_file(flags.trace_json, w.str());
   }
-  if (!flags.metrics_csv.empty() && metrics)
+  if (!flags.metrics_csv.empty()) {
+    LOGP_CHECK_MSG(metrics != nullptr,
+                   "--metrics-csv requires a registry-attached run");
     write_file(flags.metrics_csv, metrics->to_csv());
+  }
   if (!flags.critical_path.empty()) {
     LOGP_CHECK_MSG(cp != nullptr,
                    "--critical-path requires a recorder-attached run");

@@ -31,7 +31,9 @@ constexpr bool compiled_in() {
 #endif
 }
 
-/// Runtime switch: force every kernel onto its scalar reference path.
+/// Runtime switch: force every kernel onto its scalar reference path. The
+/// packet engine also reads it once per run to walk faulted windows through
+/// its strictly-ordered reference kernel instead of the batch kernel.
 /// Test-only (not thread-safe against concurrent kernel calls).
 void set_force_scalar(bool on);
 bool force_scalar();
@@ -75,13 +77,5 @@ void decide_hash_u64_scalar(std::uint64_t seed, const std::uint64_t* salt,
 void decide_hash_u64(std::uint64_t seed, const std::uint64_t* salt,
                      const std::uint64_t* a, const std::uint64_t* b,
                      std::size_t n, std::uint64_t* out);
-
-/// Mask-compress: appends the indices of the set bits of words[0..n) (bit i
-/// of word i/64 = element i) to out, ascending, and returns the count.
-/// `out` must have room for n entries. This is the partition step between
-/// a verdict mask and the survivor stream; the bit-scan loop compiles to
-/// tzcnt+clear and is memory-bound, so it doubles as its own reference.
-std::size_t mask_to_indices_u32(const std::uint64_t* words, std::size_t n,
-                                std::uint32_t* out);
 
 }  // namespace logp::util::simd

@@ -376,7 +376,7 @@ TEST(PacketMetrics, FaultFreeRunDispatchesOnlySimdWindows) {
   EXPECT_GT(reg.gauge("net.wheel.peak_bucket")->value(), 0);
   EXPECT_GT(reg.counter("net.kernel.simd_windows")->value(), 0);
   EXPECT_EQ(reg.counter("net.kernel.scalar_windows")->value(), 0)
-      << "a fault-free run must stay on the SIMD fast path";
+      << "a fault-free run must stay on the batch kernel";
   EXPECT_GT(reg.counter("net.sort.counting_windows")->value(), 0);
 }
 
@@ -396,11 +396,9 @@ TEST(PacketMetrics, FaultedRunDispatchesBatchKernelWindows) {
   EXPECT_GT(reg.counter("net.kernel.faulted_simd_windows")->value(), 0)
       << "an active plan routes windows through the faulted batch kernel";
   EXPECT_EQ(reg.counter("net.kernel.scalar_windows")->value(), 0)
-      << "the strictly-ordered kernel is reserved for oracle-attended runs";
-  EXPECT_EQ(reg.counter("net.kernel.mc_windows")->value(), 0)
-      << "no oracle attached";
+      << "the strictly-ordered kernel is the scalar reference only";
   EXPECT_EQ(reg.counter("net.kernel.simd_windows")->value(), 0)
-      << "fault-free kernel must not see faulted windows";
+      << "faulted windows must be counted as faulted";
 }
 
 }  // namespace

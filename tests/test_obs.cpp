@@ -13,6 +13,7 @@
 #include "net/packet_sim.hpp"
 #include "net/topology.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/cli.hpp"
 #include "obs/metrics.hpp"
 #include "obs/net_telemetry.hpp"
 #include "obs/profiler.hpp"
@@ -370,6 +371,22 @@ TEST(Sweep, RejectsSharedRegistryInParallel) {
   EXPECT_THROW(exp::SweepRunner({4}).run({spec, spec}), std::logic_error);
   // Sequential sweeps may attach one (runs execute one at a time).
   EXPECT_NO_THROW(exp::SweepRunner({1}).run({spec}));
+}
+
+// ---- bench CLI -----------------------------------------------------------
+
+TEST(ObsCli, MetricsCsvWithoutRegistryIsRejected) {
+  // A bench that accepts --metrics-csv must attach a registry to the run it
+  // emits; without one the requested file would silently never be written.
+  auto spec = broadcast_spec(false);
+  runtime::Scheduler sched(spec.config);
+  sched.set_program(spec.make_program());
+  sched.run();
+  obs::ObsFlags flags;
+  flags.metrics_csv = "never-written.csv";
+  std::ostringstream out;
+  EXPECT_THROW(obs::emit_machine_obs(flags, sched.machine(), "broadcast", out),
+               util::check_error);
 }
 
 }  // namespace

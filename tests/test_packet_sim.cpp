@@ -7,9 +7,9 @@
 //    values below were captured under the canonical (time, injection-id)
 //    event order — they pin today's trajectory against accidental change.
 //  * Kernel invariance: the SIMD kernels and their scalar references (and
-//    the batch and strictly-ordered faulted kernels) must produce
-//    byte-identical results AND telemetry for every traffic pattern x
-//    topology pair.
+//    the batch window kernel and its strictly-ordered faulted reference)
+//    must produce byte-identical results AND telemetry for every traffic
+//    pattern x topology pair.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +23,6 @@
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/net_telemetry.hpp"
-#include "sim/choice.hpp"
 #include "util/simd.hpp"
 
 // ---- Counting allocator guard (this TU is its own test binary) ----------
@@ -256,6 +255,33 @@ void expect_identical(const PacketSimResult& a, const obs::NetTelemetry& ta,
   }
 }
 
+/// Runs a faulted config with `telem` and a fresh metrics registry attached,
+/// SIMD on (faulted windows on the batch kernel) or forced scalar (on the
+/// strictly-ordered reference kernel), and proves which kernel ran — a
+/// SIMD-on/off comparison is only a batch-vs-reference check if each side
+/// really took its own kernel.
+PacketSimResult run_faulted_side(const Topology& topo, PacketSimConfig cfg,
+                                 bool scalar, obs::NetTelemetry& telem) {
+  obs::MetricsRegistry reg;
+  cfg.telemetry = &telem;
+  cfg.metrics = &reg;
+  util::simd::set_force_scalar(scalar);
+  const auto r = run_packet_sim(topo, cfg);
+  util::simd::set_force_scalar(false);
+  const std::int64_t ordered =
+      reg.counter("net.kernel.scalar_windows")->value();
+  const std::int64_t batch =
+      reg.counter("net.kernel.faulted_simd_windows")->value();
+  if (scalar) {
+    EXPECT_GT(ordered, 0) << "forced scalar must walk the ordered kernel";
+    EXPECT_EQ(batch, 0) << "forced scalar must never reach the batch kernel";
+  } else {
+    EXPECT_EQ(ordered, 0) << "the ordered kernel is the scalar reference only";
+    EXPECT_GT(batch, 0) << "faulted windows must take the batch kernel";
+  }
+  return r;
+}
+
 TEST(PacketSim, SaturationFlagStableAcrossIdenticalRuns) {
   // Hotspot traffic at an aggressive rate with a tight drain limit: the run
   // saturates mid-flight (events parked past the drain limit), and the flag,
@@ -343,10 +369,11 @@ TEST(PacketSim, SimdOnOffByteIdenticalEverywhere) {
 }
 
 TEST(PacketSim, SimdOnOffByteIdenticalUnderActiveFaultPlan) {
-  // Same invariant through the faulted kernel: drops, corruption, retries
-  // and a degraded link must not perturb SIMD/scalar identity (the faulted
-  // window walk is strictly canonical; classification masks and channel
-  // scans still run through the kernels).
+  // Same invariant under a fault plan, where it pins the batch kernel
+  // against its strictly-ordered reference: drops, corruption, retries and
+  // a degraded link must not perturb byte-identity between the SIMD side
+  // (batch verdicts, survivor chains) and the forced-scalar side (one event
+  // at a time in canonical order).
   const auto topo = make_fat_tree4(64, 2);
   fault::FaultPlan plan;
   plan.drop_rate = 0.05;
@@ -356,19 +383,12 @@ TEST(PacketSim, SimdOnOffByteIdenticalUnderActiveFaultPlan) {
   plan.link_faults.push_back({0, 64, 2000, 6000, 4});
   PacketSimConfig base = golden_config(TrafficPattern::kUniform);
   base.faults = &plan;
-  PacketSimConfig cfg_on = base;
   obs::NetTelemetry telem_on;
   telem_on.sample_every = 500;
-  cfg_on.telemetry = &telem_on;
-  util::simd::set_force_scalar(false);
-  const auto on = run_packet_sim(*topo, cfg_on);
-  PacketSimConfig cfg_off = base;
+  const auto on = run_faulted_side(*topo, base, false, telem_on);
   obs::NetTelemetry telem_off;
   telem_off.sample_every = 500;
-  cfg_off.telemetry = &telem_off;
-  util::simd::set_force_scalar(true);
-  const auto off = run_packet_sim(*topo, cfg_off);
-  util::simd::set_force_scalar(false);
+  const auto off = run_faulted_side(*topo, base, true, telem_off);
   EXPECT_GT(on.dropped + on.corrupted, 0);
   expect_identical(on, telem_on, off, telem_off);
 }
@@ -377,9 +397,9 @@ TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
   // The batch verdict kernel has one code path per misfortune family
   // (hashed drop, hashed corrupt, targeted first-attempt drop, dead link,
   // degraded link, injection jitter, retransmit pressure). Exercise each in
-  // isolation and pin SIMD-on/off byte-identity per family,
-  // with a counter proof that the family actually fired — a plan that
-  // never triggers would make the identity check vacuous.
+  // isolation and pin batch-vs-ordered (SIMD-on/off) byte-identity per
+  // family, with a counter proof that the family actually fired — a plan
+  // that never triggers would make the identity check vacuous.
   const auto topo = make_fat_tree4(64, 2);
   struct Case {
     const char* name;
@@ -423,19 +443,12 @@ TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
     SCOPED_TRACE(c.name);
     PacketSimConfig base = golden_config(TrafficPattern::kUniform);
     base.faults = &c.plan;
-    PacketSimConfig cfg_on = base;
     obs::NetTelemetry telem_on;
     telem_on.sample_every = 500;
-    cfg_on.telemetry = &telem_on;
-    util::simd::set_force_scalar(false);
-    const auto on = run_packet_sim(*topo, cfg_on);
-    PacketSimConfig cfg_off = base;
+    const auto on = run_faulted_side(*topo, base, false, telem_on);
     obs::NetTelemetry telem_off;
     telem_off.sample_every = 500;
-    cfg_off.telemetry = &telem_off;
-    util::simd::set_force_scalar(true);
-    const auto off = run_packet_sim(*topo, cfg_off);
-    util::simd::set_force_scalar(false);
+    const auto off = run_faulted_side(*topo, base, true, telem_off);
     if (c.wants_dropped) {
       EXPECT_GT(on.dropped, 0);
     }
@@ -452,55 +465,6 @@ TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
     expect_identical(on, telem_on, off, telem_off);
   }
 }
-
-#ifndef LOGP_MC_DISABLED
-TEST(PacketSim, ZeroOracleReproducesOracleFreeRunOnOrderedKernel) {
-  // Attaching an oracle must route every faulted window through the
-  // strictly-ordered kernel (the batch kernel's survivor grouping does not
-  // preserve canonical choice-point order), observable as mc_windows
-  // replacing faulted_simd_windows — and an oracle that always picks
-  // alternative 0 (the engine default) must reproduce the batch run
-  // byte-for-byte, which is what makes counterexample replay sound.
-  struct ZeroOracle final : sim::ChoiceOracle {
-    int choose(sim::ChoiceKind, int, const std::uint64_t*) override {
-      return 0;
-    }
-  };
-  const auto topo = make_fat_tree4(64, 2);
-  fault::FaultPlan plan;
-  plan.drop_rate = 0.05;
-  plan.corrupt_rate = 0.02;
-  plan.retry_timeout = 64;
-  plan.max_retries = 3;
-  PacketSimConfig base = golden_config(TrafficPattern::kUniform);
-  base.faults = &plan;
-  PacketSimConfig cfg_batch = base;
-  obs::NetTelemetry telem_batch;
-  telem_batch.sample_every = 500;
-  cfg_batch.telemetry = &telem_batch;
-  obs::MetricsRegistry reg_batch;
-  cfg_batch.metrics = &reg_batch;
-  const auto batch = run_packet_sim(*topo, cfg_batch);
-  ZeroOracle zero;
-  PacketSimConfig cfg_mc = base;
-  obs::NetTelemetry telem_mc;
-  telem_mc.sample_every = 500;
-  cfg_mc.telemetry = &telem_mc;
-  obs::MetricsRegistry reg_mc;
-  cfg_mc.metrics = &reg_mc;
-  cfg_mc.oracle = &zero;
-  const auto mc = run_packet_sim(*topo, cfg_mc);
-  EXPECT_GT(batch.dropped + batch.corrupted, 0);
-  EXPECT_GT(reg_batch.counter("net.kernel.faulted_simd_windows")->value(), 0);
-  EXPECT_EQ(reg_batch.counter("net.kernel.mc_windows")->value(), 0)
-      << "no oracle attached";
-  EXPECT_GT(reg_mc.counter("net.kernel.mc_windows")->value(), 0)
-      << "an attached oracle must take the canonical ordered path";
-  EXPECT_EQ(reg_mc.counter("net.kernel.faulted_simd_windows")->value(), 0)
-      << "the batch kernel must never see an oracle-attended window";
-  expect_identical(batch, telem_batch, mc, telem_mc);
-}
-#endif  // LOGP_MC_DISABLED
 
 TEST(PacketSim, LookaheadMatchesPerHopServiceTime) {
   PacketSimConfig cfg;
@@ -590,7 +554,8 @@ TEST(PacketSim, RerouteDetoursAroundKilledLinkAndHealsBack) {
 TEST(PacketSim, RerouteByteIdenticalAcrossSimd) {
   // The recovery figure's contract: a kill/heal run with rerouting engaged
   // is byte-identical — full result surface plus telemetry, including the
-  // reroute and dead-link series — across repeat runs and SIMD settings.
+  // reroute and dead-link series — across repeat runs and between the batch
+  // kernel (SIMD on) and its strictly-ordered reference (forced scalar).
   const auto topo = make_hypercube(32);
   PacketSimConfig base;
   base.injection_rate = 0.02;
@@ -613,13 +578,9 @@ TEST(PacketSim, RerouteByteIdenticalAcrossSimd) {
 
   for (const bool scalar : {false, true}) {
     SCOPED_TRACE(scalar ? "scalar" : "simd");
-    PacketSimConfig cfg = base;
     obs::NetTelemetry telem;
     telem.sample_every = 250;
-    cfg.telemetry = &telem;
-    util::simd::set_force_scalar(scalar);
-    const auto r = run_packet_sim(*topo, cfg);
-    util::simd::set_force_scalar(false);
+    const auto r = run_faulted_side(*topo, base, scalar, telem);
     expect_identical(ref, ref_telem, r, telem);
   }
 }

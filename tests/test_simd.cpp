@@ -155,33 +155,6 @@ TEST(Simd, DecideHashForceScalarIdentical) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << i;
 }
 
-TEST(Simd, MaskToIndicesCompressesSetBitsAscending) {
-  // The verdict-mask -> survivor-stream partition step: indices of set bits,
-  // ascending, count returned. Dense, sparse, empty and full masks, at
-  // lengths straddling word boundaries.
-  util::Xoshiro256StarStar rng(0x1d);
-  for (const double density : {0.0, 0.03, 0.5, 1.0}) {
-    for (const std::size_t n :
-         {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
-          std::size_t{128}, std::size_t{193}, std::size_t{500}}) {
-      std::vector<std::uint64_t> words((n + 63) / 64, 0);
-      std::vector<std::uint32_t> want;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (rng.bernoulli(density)) {  // 0.0 never fires, 1.0 always does
-          words[i / 64] |= std::uint64_t{1} << (i % 64);
-          want.push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-      std::vector<std::uint32_t> got(n + 1, 0xffffffffu);
-      const std::size_t cnt = mask_to_indices_u32(words.data(), n, got.data());
-      ASSERT_EQ(cnt, want.size()) << "density=" << density << " n=" << n;
-      for (std::size_t i = 0; i < cnt; ++i)
-        EXPECT_EQ(got[i], want[i]) << "density=" << density << " n=" << n;
-      EXPECT_EQ(got[cnt], 0xffffffffu) << "must not write past the count";
-    }
-  }
-}
-
 TEST(Simd, ForceScalarDisablesVectorDispatch) {
   EXPECT_FALSE(force_scalar());
   {
