@@ -9,6 +9,7 @@
 #include <iostream>
 #include <vector>
 
+#include "obs/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -46,8 +47,9 @@ double growth(double Chip::*field) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace logp;
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   std::cout << "== Figure 2: microprocessor performance, 1987-1992 ==\n\n";
   util::TablePrinter tp({"machine", "year", "integer (xVAX)", "FP (xVAX)"});
   for (const auto& c : kChips)

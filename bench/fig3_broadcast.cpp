@@ -44,15 +44,14 @@ exp::ExperimentSpec broadcast_spec(const Params& prm) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int threads = exp::threads_from_args(argc, argv);
-  // The obs flags (--trace/--profile/--trace-json/--metrics-csv plus
-  // --critical-path FILE and --whatif SPEC) apply to the worked example
-  // below; all default off, keeping stdout byte-stable.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(
-          argc, argv,
-          "[--threads N] [--trace] [--profile] [--trace-json FILE] "
-          "[--metrics-csv FILE] [--critical-path FILE] [--whatif SPEC]"))
+  int threads = 1;
+  // The obs sinks apply to the worked example below; all default off,
+  // keeping stdout byte-stable.
+  obs::ObsFlags obs_flags;
+  if (const int rc = obs::parse_cli(
+          argc, argv, {obs::threads_flag(&threads)},
+          obs::sink::kMachine | obs::sink::kCriticalPath | obs::sink::kWhatif,
+          &obs_flags))
     return rc;
   std::cout << "== Figure 3: optimal broadcast tree ==\n\n";
 

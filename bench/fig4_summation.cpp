@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/summation.hpp"
-#include "exp/sweep.hpp"
 #include "obs/cli.hpp"
 #include "runtime/collectives.hpp"
 #include "util/table.hpp"
@@ -38,12 +37,10 @@ Cycles simulate(const Params& prm, const SumSchedule& sched_def,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --trace / --profile / --trace-json FILE / --metrics-csv FILE apply to
-  // the worked example.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(
-          argc, argv,
-          "[--trace] [--profile] [--trace-json FILE] [--metrics-csv FILE]"))
+  // The obs sinks apply to the worked example.
+  obs::ObsFlags obs_flags;
+  if (const int rc =
+          obs::parse_cli(argc, argv, {}, obs::sink::kMachine, &obs_flags))
     return rc;
   std::cout << "== Figure 4: optimal summation ==\n\n";
 

@@ -12,13 +12,14 @@
 
 #include "core/fft_cost.hpp"
 #include "exp/sweep.hpp"
+#include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace logp;
-  const int threads = exp::threads_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(argc, argv, "[--threads N]"))
+  int threads = 1;
+  if (const int rc = obs::parse_cli(argc, argv, {obs::threads_flag(&threads)}))
     return rc;
   std::cout << "== Figure 5 / Section 4.1.1: FFT data layouts ==\n"
                "(CM-5 parameters; per-processor remote references and LogP\n"

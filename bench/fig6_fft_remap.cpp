@@ -8,11 +8,13 @@
 #include <iostream>
 
 #include "algo/fft.hpp"
+#include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace logp;
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   namespace coll = runtime::coll;
   const int P = 128;
   const Params prm = Cm5::params(P);

@@ -13,11 +13,13 @@
 
 #include "cache/cache.hpp"
 #include "cache/fft_trace.hpp"
+#include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace logp;
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   const std::int64_t P = 128;
   std::cout << "== Figure 7: Mflops per processor, P = " << P
             << ", 64 KB direct-mapped cache ==\n\n";

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "algo/fft.hpp"
+#include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
@@ -29,7 +30,8 @@ double rate_mbs(const Params& prm, const algo::FftConfig& cfg,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   const int P = 128;
   const Params base = Cm5::params(P);
   Params twonet = base;

@@ -100,20 +100,22 @@ PacketSimResult decode_result(const std::string& text) {
 
 int main(int argc, char** argv) {
   using namespace logp;
-  const int threads = exp::threads_from_args(argc, argv);
-  const std::string ckpt_dir =
-      exp::string_from_args(argc, argv, "--checkpoint-dir");
-  const bool resume = exp::bool_from_args(argc, argv, "--resume");
-  const int crash_after = exp::int_from_args(argc, argv, "--crash-after");
-  // Packet-level obs subset (exemplar re-run after the grid; see below).
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(
+  int threads = 1;
+  std::string ckpt_dir;
+  bool resume = false;
+  int crash_after = 0;
+  // Packet-level obs sinks (exemplar re-run after the grid; see below).
+  obs::ObsFlags obs_flags;
+  if (const int rc = obs::parse_cli(
           argc, argv,
-          "[--threads N] [--checkpoint-dir DIR] [--resume] "
-          "[--crash-after N] [--profile] [--trace-json FILE] "
-          "[--metrics-csv FILE] [--links-csv FILE]"))
-    return rc;
-  if (const int rc = obs::reject_machine_only_flags(obs_flags, argv[0]))
+          {obs::threads_flag(&threads),
+           {"--checkpoint-dir DIR", &ckpt_dir,
+            "persist each grid point's result here"},
+           {"--resume", &resume,
+            "compute only the points missing from --checkpoint-dir"},
+           {"--crash-after N", &crash_after,
+            "exit 3 after N fresh points (0 = never; resume test)"}},
+          obs::sink::kPacket, &obs_flags))
     return rc;
 
   const auto torus = net::make_mesh2d(8, 8, true);

@@ -81,19 +81,18 @@ void print_rows(util::TablePrinter& tp, const std::vector<Scenario>& grid,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int threads = exp::threads_from_args(argc, argv);
-  // --ci: the P = 4096 slice with short windows, sized for the smoke lane.
-  const bool ci = exp::bool_from_args(argc, argv, "--ci");
-  // Packet-level obs subset: the sinks attach to one exemplar re-run (the
+  int threads = 1;
+  bool ci = false;
+  // Packet-level obs sinks: they attach to one exemplar re-run (the
   // degraded fault point) after the sweep, so the table above stays
   // byte-identical with the flags on or off.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(
+  obs::ObsFlags obs_flags;
+  if (const int rc = obs::parse_cli(
           argc, argv,
-          "[--threads N] [--ci] [--profile] "
-          "[--trace-json FILE] [--metrics-csv FILE] [--links-csv FILE]"))
-    return rc;
-  if (const int rc = obs::reject_machine_only_flags(obs_flags, argv[0]))
+          {obs::threads_flag(&threads),
+           {"--ci", &ci,
+            "the P = 4096 slice with short windows, sized for CI"}},
+          obs::sink::kPacket, &obs_flags))
     return rc;
 
   std::cout << "== Large-P production scenarios (packet-level, P = 4096.."

@@ -12,11 +12,13 @@
 #include <iostream>
 
 #include "algo/fft.hpp"
+#include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace logp;
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   const int P = 32;
   const std::int64_t n = 1 << 16;
   std::cout << "== Section 4.1.5: merging the remap into computation ==\n"

@@ -38,6 +38,7 @@
 #include "fault/fault.hpp"
 #include "net/packet_sim.hpp"
 #include "net/topology.hpp"
+#include "obs/cli.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/membership.hpp"
 #include "runtime/reliable.hpp"
@@ -227,10 +228,12 @@ RecoveryCell run_recovery_cell(Cycles kill_at, Cycles outage,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int threads = exp::threads_from_args(argc, argv);
-  const bool ci = exp::bool_from_args(argc, argv, "--ci");
-  if (const int rc = exp::reject_unknown_flags(
-          argc, argv, "[--ci] [--threads N]"))
+  int threads = 1;
+  bool ci = false;
+  if (const int rc = obs::parse_cli(
+          argc, argv,
+          {{"--ci", &ci, "the reduced kill/outage grid, sized for CI"},
+           obs::threads_flag(&threads)}))
     return rc;
 
   std::vector<std::string> failures;

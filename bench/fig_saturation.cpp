@@ -65,24 +65,16 @@ void profile_point(const logp::net::Topology& topo, double load,
 
 int main(int argc, char** argv) {
   using namespace logp;
-  const int threads = exp::threads_from_args(argc, argv);
+  int threads = 1;
   // --profile re-runs an exemplar stable and saturated grid point with link
   // telemetry; --trace-json FILE writes their in-flight occupancy as Chrome
-  // trace counter tracks, --metrics-csv FILE their engine counters. Defaults
-  // off: the summary tables stay byte-stable.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
-  const char* const usage =
-      "[--threads N] [--profile] [--trace-json FILE] [--metrics-csv FILE]";
-  if (const int rc = exp::reject_unknown_flags(argc, argv, usage)) return rc;
-  if (const int rc = obs::reject_machine_only_flags(obs_flags, argv[0]))
-    return rc;
-  // The exemplar points print their link tables under --profile; there is
+  // trace counter tracks, --metrics-csv FILE their engine counters. There is
   // no single run whose per-link CSV --links-csv could name.
-  if (!obs_flags.links_csv.empty()) {
-    std::fprintf(stderr, "%s: --links-csv is not supported\nusage: %s %s\n",
-                 argv[0], argv[0], usage);
-    return 2;
-  }
+  obs::ObsFlags obs_flags;
+  if (const int rc = obs::parse_cli(argc, argv, {obs::threads_flag(&threads)},
+                                    obs::sink::kPacket & ~obs::sink::kLinksCsv,
+                                    &obs_flags))
+    return rc;
   std::cout << "== Section 5.3: latency vs offered load (packet-level) ==\n\n";
 
   std::vector<std::unique_ptr<net::Topology>> topos;

@@ -4,10 +4,12 @@
 #include <iostream>
 
 #include "machines/database.hpp"
+#include "obs/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace logp;
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   std::cout << "== Table 1: one-way message time without contention "
                "(1024 processors, M = 160 bits) ==\n\n";
 

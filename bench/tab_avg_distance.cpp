@@ -6,8 +6,8 @@
 #include <memory>
 #include <vector>
 
-#include "exp/sweep.hpp"
 #include "net/topology.hpp"
+#include "obs/cli.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   // --threads fans the exact O(P^2) route walks over the shared ThreadPool;
   // the per-source subtotals are integers, so the table is byte-identical
   // for any value.
-  const int threads = exp::threads_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(argc, argv, "[--threads N]"))
+  int threads = 1;
+  if (const int rc = obs::parse_cli(argc, argv, {obs::threads_flag(&threads)}))
     return rc;
   std::cout << "== Section 5.1: average distance between nodes ==\n\n";
 

@@ -5,7 +5,6 @@
 // CPU cost but none of the wire time.
 #include <iostream>
 
-#include "exp/sweep.hpp"
 #include "obs/cli.hpp"
 #include "runtime/bulk.hpp"
 #include "runtime/scheduler.hpp"
@@ -86,10 +85,9 @@ Result run_dma(const Params& prm, std::uint64_t words, Cycles overlap,
 int main(int argc, char** argv) {
   // --trace / --profile apply to one exemplar train + DMA pair (words=300,
   // full overlap), re-run after the table.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(
-          argc, argv,
-          "[--trace] [--profile] [--trace-json FILE] [--metrics-csv FILE]"))
+  obs::ObsFlags obs_flags;
+  if (const int rc =
+          obs::parse_cli(argc, argv, {}, obs::sink::kMachine, &obs_flags))
     return rc;
   const Params prm{20, 4, 8, 2};
   const Cycles G = 3;  // DMA streams one word per 3 cycles (= g per message

@@ -5,11 +5,13 @@
 #include <iostream>
 
 #include "algo/lu.hpp"
+#include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace logp;
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   std::cout << "== Section 4.2.1: LU decomposition layouts ==\n\n";
 
   const Params prm{20, 4, 8, 16};  // generic machine, P = 16 (4x4 grid)

@@ -6,11 +6,13 @@
 #include <iostream>
 
 #include "algo/matmul.hpp"
+#include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace logp;
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   const Params prm{20, 4, 8, 16};
   std::cout << "== Matrix multiply layouts, " << prm.to_string() << " ==\n\n";
 

@@ -9,7 +9,6 @@
 #include "core/broadcast_tree.hpp"
 #include "core/fft_cost.hpp"
 #include "core/summation.hpp"
-#include "exp/sweep.hpp"
 #include "models/bsp.hpp"
 #include "models/pram.hpp"
 #include "obs/cli.hpp"
@@ -61,10 +60,9 @@ Cycles simulate_sum(const Params& prm, std::int64_t n) {
 int main(int argc, char** argv) {
   // --trace / --profile re-run the optimal-broadcast row's simulation with
   // recording on after the tables; defaults leave output untouched.
-  const obs::ObsFlags obs_flags = obs::obs_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(
-          argc, argv,
-          "[--trace] [--profile] [--trace-json FILE] [--metrics-csv FILE]"))
+  obs::ObsFlags obs_flags;
+  if (const int rc =
+          obs::parse_cli(argc, argv, {}, obs::sink::kMachine, &obs_flags))
     return rc;
   const Params prm{20, 4, 8, 64};
   const std::int64_t n = 1 << 16;

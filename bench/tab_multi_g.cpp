@@ -8,9 +8,9 @@
 #include <memory>
 #include <vector>
 
-#include "exp/sweep.hpp"
 #include "net/packet_sim.hpp"
 #include "net/topology.hpp"
+#include "obs/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -40,8 +40,7 @@ double saturation_throughput(const net::Topology& topo,
 int main(int argc, char** argv) {
   // The doubling search is sequential (each topology's loads build on the
   // previous verdict), so the table runs serially and takes no flags.
-  if (const int rc = exp::reject_unknown_flags(argc, argv, "(takes no flags)"))
-    return rc;
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   std::cout << "== Section 5.6: one network, many effective g's ==\n"
                "(saturation throughput per traffic pattern; effective gap\n"
                " g_pat = 1/throughput, in cycles per packet per node)\n\n";

@@ -6,11 +6,13 @@
 #include <iostream>
 
 #include "algo/remote_read.hpp"
+#include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace logp;
+  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
   std::cout << "== Section 3.2: remote reads and multithreading ==\n\n";
 
   std::cout << "-- dependent remote reads: cycles per read vs 2L + 4o --\n";

@@ -11,13 +11,14 @@
 
 #include "algo/sort.hpp"
 #include "exp/sweep.hpp"
+#include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace logp;
-  const int threads = exp::threads_from_args(argc, argv);
-  if (const int rc = exp::reject_unknown_flags(argc, argv, "[--threads N]"))
+  int threads = 1;
+  if (const int rc = obs::parse_cli(argc, argv, {obs::threads_flag(&threads)}))
     return rc;
   const Params prm{20, 4, 8, 16};
   std::cout << "== Section 4.2.2: distributed sorting, " << prm.to_string()

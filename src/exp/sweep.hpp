@@ -118,27 +118,4 @@ class SweepRunner {
   int inner_threads_;
 };
 
-/// Consumes a `--threads N` (or `--threads=N`) argument from argv, returning
-/// N, or `def` when the flag is absent. Figure binaries pass their argc/argv
-/// through so `fig3_broadcast --threads 8` works without further plumbing.
-int threads_from_args(int& argc, char** argv, int def = 1);
-
-/// Consumes an arbitrary `--name N` / `--name=N` integer flag.
-int int_from_args(int& argc, char** argv, const char* flag, int def = 0);
-
-/// Consumes `--name VALUE` / `--name=VALUE` like the int helpers above, but
-/// keeps the value verbatim (paths, labels).
-std::string string_from_args(int& argc, char** argv, const char* flag,
-                             const char* def = "");
-
-/// Consumes a valueless `--name` switch, returning whether it was present.
-bool bool_from_args(int& argc, char** argv, const char* flag);
-
-/// Call after all known flags were consumed. If anything besides argv[0]
-/// remains, prints "unknown argument '...'" plus a one-line usage to stderr
-/// and returns 2 (conventional CLI-misuse exit code); returns 0 on a clean
-/// argv. Experiment binaries exit with the code when nonzero, so a typo
-/// like `--thread 8` can never silently run the default configuration.
-int reject_unknown_flags(int argc, char** argv, const char* usage);
-
 }  // namespace logp::exp

@@ -181,8 +181,7 @@ class LinkTable {
 
   /// Earliest-free channel of a resolved link. The first-minimum tie-break
   /// (equal-cycle channels resolve to the lowest index, as std::min_element
-  /// would) is part of the pinned trajectory; the SIMD horizontal-min
-  /// reproduces it exactly (tests/test_simd.cpp).
+  /// would) is part of the pinned trajectory (tests/test_simd.cpp).
   Cycles& earliest(std::int32_t id) {
     const auto off =
         static_cast<std::size_t>(chan_off_[static_cast<std::size_t>(id)]);

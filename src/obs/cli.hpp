@@ -1,33 +1,22 @@
-// Uniform observability CLI flags for the figure/table bench binaries.
+// The command line of every figure/table bench binary and tools/mc_check.
 //
-// Every bench that runs a Scheduler consumes these (in addition to the
-// sweep harness's --threads):
-//
-//   --trace              print the exemplar run's activity-interval CSV
-//   --profile            print the exemplar run's LogP signature table
-//   --trace-json FILE    write a Chrome trace (chrome://tracing / Perfetto)
-//   --metrics-csv FILE   dump the metrics registry attached to the run
-//   --critical-path FILE write the critical-path artifact (.csv = chain
-//                        table, otherwise JSON; obs/critical_path.hpp)
-//   --whatif SPEC        print predicted finish under scaled parameters,
-//                        e.g. "L=0.5x,o=2x" (obs/whatif.hpp)
-//
-// All default off, so default output stays byte-identical (CI diffs it).
-// Like exp::threads_from_args, parsing consumes the flags from argv.
-//
-// Packet-level benches (fig_large_p, fig_fault_degradation) support the
-// --profile/--trace-json/--metrics-csv subset via emit_packet_obs, plus
-//
-//   --links-csv FILE     dump the per-link telemetry CSV (utilization-ranked
-//                        rows with the drops/retransmits/reroutes series;
-//                        tools/trace_summary.py renders it)
-//
-// the machine-only flags are rejected up front by reject_machine_only_flags.
+// One table-driven parser, parse_cli, reads argv against the flag list a
+// binary declares in one place: each Flag names its spelling, the variable
+// it sets (whose initial value is the default) and a one-line help text,
+// and the usage text is generated from the same list. Besides its own
+// flags, a bench declares the observability sinks its exemplar run can
+// emit (obs::sink::*); parse_cli accepts exactly those flags into an
+// ObsFlags. All sinks default off, so default output stays byte-identical
+// (CI diffs it). Machine-level benches emit through emit_machine_obs;
+// packet-level ones (no Machine, so no activity intervals and no
+// message/compute DAG) through emit_packet_obs.
 #pragma once
 
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
@@ -61,8 +50,52 @@ struct ObsFlags {
   }
 };
 
-/// Consumes the flags above from argv (threads_from_args-style).
-ObsFlags obs_from_args(int& argc, char** argv);
+/// One command-line flag. `spec` is the spelling shown in the usage line:
+/// "--name" for a switch, "--name METAVAR" for a flag taking a value (as
+/// `--name V` or `--name=V`). The target's value before parsing is the
+/// default.
+struct Flag {
+  const char* spec;
+  std::variant<bool*, int*, std::string*> target;
+  const char* help;
+};
+
+/// The `--threads N` flag of the benches that fan work out on the shared
+/// thread pool (0 = hardware concurrency).
+inline Flag threads_flag(int* threads) {
+  return {"--threads N", threads,
+          "worker threads (0 = one per hardware thread)"};
+}
+
+/// The observability sinks a bench can declare, one bit per flag; usage
+/// lists declared sinks in this order.
+namespace sink {
+inline constexpr unsigned kTrace = 1u << 0;
+inline constexpr unsigned kProfile = 1u << 1;
+inline constexpr unsigned kTraceJson = 1u << 2;
+inline constexpr unsigned kMetricsCsv = 1u << 3;
+inline constexpr unsigned kCriticalPath = 1u << 4;
+inline constexpr unsigned kWhatif = 1u << 5;
+inline constexpr unsigned kLinksCsv = 1u << 6;
+/// What emit_machine_obs can produce from a recorded, registry-attached run.
+inline constexpr unsigned kMachine = kTrace | kProfile | kTraceJson |
+                                     kMetricsCsv;
+/// Everything emit_packet_obs produces.
+inline constexpr unsigned kPacket = kProfile | kTraceJson | kMetricsCsv |
+                                    kLinksCsv;
+}  // namespace sink
+
+/// Parses argv against `flags` plus the declared `sinks` (stored into
+/// *obs, which may be null only when sinks == 0). Returns 0 on success.
+/// On an unknown argument, an undeclared sink, or a malformed or missing
+/// value it writes "unknown argument" / "bad value" and the usage generated
+/// from the table (a "usage:" line listing every flag, then one help line
+/// per flag with its default) to `err`, and returns 2, the exit code for
+/// CLI misuse; callers return it before running anything. Integers must
+/// parse in full; a repeated flag keeps its last value.
+int parse_cli(int argc, char** argv, std::vector<Flag> flags,
+              unsigned sinks = 0, ObsFlags* obs = nullptr,
+              std::ostream& err = std::cerr);
 
 /// Writes `content` to `path`, reporting the write on `err` (benches keep
 /// stdout byte-deterministic for CI diffs; file notices go to stderr).
@@ -127,22 +160,6 @@ inline void emit_machine_obs(const ObsFlags& flags, const sim::Machine& m,
     out << '\n' << "-- " << label << ": what-if --\n"
         << whatif_table({whatif(*cp, *spec)});
   }
-}
-
-/// Rejects the machine-only flags in benches whose exemplar run is the
-/// packet-level simulator (no Machine, so no activity intervals and no
-/// message/compute DAG to record). Returns the process exit code (0 = ok),
-/// reject_unknown_flags-style.
-inline int reject_machine_only_flags(const ObsFlags& flags, const char* prog,
-                                     std::ostream& err = std::cerr) {
-  if (flags.trace || flags.wants_critpath()) {
-    err << prog
-        << ": --trace / --critical-path / --whatif need a machine-level "
-           "run; this bench is packet-level (supported: --profile "
-           "--trace-json --metrics-csv)\n";
-    return 2;
-  }
-  return 0;
 }
 
 /// Emits the packet-level subset from one finished run_packet_sim call:

@@ -51,65 +51,17 @@ bool active() {
 
 // ---- first_min_index_i64 ------------------------------------------------
 
-std::size_t first_min_index_i64_scalar(const std::int64_t* v, std::size_t n) {
+std::size_t first_min_index_i64(const std::int64_t* v, std::size_t n) {
   std::size_t best = 0;
   for (std::size_t i = 1; i < n; ++i)
     if (v[i] < v[best]) best = i;
   return best;
 }
 
-#if defined(LOGP_SIMD_AVX2)
-// Two passes, both exact: find the minimum value with 4-lane i64 min, then
-// locate its first occurrence with a compare + movemask scan. The second
-// pass returns the lowest matching index, which is precisely the scalar
-// scan's first-minimum tie-break.
-__attribute__((target("avx2"))) std::size_t first_min_index_i64_avx2(
-    const std::int64_t* v, std::size_t n) {
-  __m256i vmin = _mm256_set1_epi64x(v[0]);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    // min(vmin, x): where vmin > x, take x.
-    const __m256i gt = _mm256_cmpgt_epi64(vmin, x);
-    vmin = _mm256_blendv_epi8(vmin, x, gt);
-  }
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vmin);
-  std::int64_t m = lanes[0];
-  for (int l = 1; l < 4; ++l)
-    if (lanes[l] < m) m = lanes[l];
-  for (; i < n; ++i)
-    if (v[i] < m) m = v[i];
-
-  const __m256i vm = _mm256_set1_epi64x(m);
-  for (i = 0; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const int mask = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(x, vm)));
-    if (mask != 0)
-      return i + static_cast<std::size_t>(__builtin_ctz(
-                     static_cast<unsigned>(mask)));
-  }
-  for (; i < n; ++i)
-    if (v[i] == m) return i;
-  return n - 1;  // unreachable: the minimum exists
-}
-#endif
-
-std::size_t first_min_index_i64(const std::int64_t* v, std::size_t n) {
-#if defined(LOGP_SIMD_AVX2)
-  if (n >= 4 && active()) return first_min_index_i64_avx2(v, n);
-#endif
-  return first_min_index_i64_scalar(v, n);
-}
-
 // ---- negative_mask_i32_stride -------------------------------------------
 
-void negative_mask_i32_stride_scalar(const std::int32_t* v, std::size_t n,
-                                     std::size_t stride,
-                                     std::uint64_t* out_words) {
+void negative_mask_i32_stride(const std::int32_t* v, std::size_t n,
+                              std::size_t stride, std::uint64_t* out_words) {
   const std::size_t words = (n + 63) / 64;
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t bits = 0;
@@ -119,44 +71,6 @@ void negative_mask_i32_stride_scalar(const std::int32_t* v, std::size_t n,
       if (v[i * stride] < 0) bits |= std::uint64_t{1} << (i - lo);
     out_words[w] = bits;
   }
-}
-
-#if defined(LOGP_SIMD_AVX2)
-// Strided gather of 8 lanes per step; movemask_ps extracts the sign bits
-// directly, so the result is bit-exact against the scalar reference.
-__attribute__((target("avx2"))) void negative_mask_i32_stride_avx2(
-    const std::int32_t* v, std::size_t n, std::size_t stride,
-    std::uint64_t* out_words) {
-  const int s = static_cast<int>(stride);
-  const __m256i idx = _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s,
-                                        6 * s, 7 * s);
-  const std::size_t words = (n + 63) / 64;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = 0;
-    const std::size_t lo = w * 64;
-    const std::size_t hi = lo + 64 < n ? lo + 64 : n;
-    std::size_t i = lo;
-    for (; i + 8 <= hi; i += 8) {
-      const __m256i x =
-          _mm256_i32gather_epi32(v + i * stride, idx, sizeof(std::int32_t));
-      const int m = _mm256_movemask_ps(_mm256_castsi256_ps(x));
-      bits |= static_cast<std::uint64_t>(static_cast<unsigned>(m))
-              << (i - lo);
-    }
-    for (; i < hi; ++i)
-      if (v[i * stride] < 0) bits |= std::uint64_t{1} << (i - lo);
-    out_words[w] = bits;
-  }
-}
-#endif
-
-void negative_mask_i32_stride(const std::int32_t* v, std::size_t n,
-                              std::size_t stride, std::uint64_t* out_words) {
-#if defined(LOGP_SIMD_AVX2)
-  if (n >= 8 && active())
-    return negative_mask_i32_stride_avx2(v, n, stride, out_words);
-#endif
-  return negative_mask_i32_stride_scalar(v, n, stride, out_words);
 }
 
 // ---- decide_hash_u64 ----------------------------------------------------

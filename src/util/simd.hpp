@@ -2,11 +2,11 @@
 //
 // Two deliberate constraints shape this file:
 //
-//  * Byte-identity. Every kernel is specified by its scalar reference
-//    implementation (the *_scalar functions below); the vector variants must
-//    reproduce it exactly — including first-index tie-breaks — so SIMD-on and
-//    SIMD-off builds of the simulator produce bit-identical results (pinned
-//    by tests/test_simd.cpp and the packet-sim goldens).
+//  * Byte-identity. Every vector kernel is specified by its scalar
+//    reference implementation (the *_scalar function beside it); the vector
+//    variants must reproduce it exactly, so SIMD-on and SIMD-off builds of
+//    the simulator produce bit-identical results (pinned by
+//    tests/test_simd.cpp and the packet-sim goldens).
 //  * Runtime dispatch. The repo builds for baseline x86-64, so AVX2 code is
 //    compiled behind `__attribute__((target("avx2")))` and selected at
 //    runtime via cpuid. `-DLOGP_NO_SIMD=ON` compiles the vector variants out
@@ -44,11 +44,15 @@ bool active();
 
 // ---- Kernels ------------------------------------------------------------
 
+// first_min_index_i64 and negative_mask_i32_stride are scalar only: AVX2
+// versions ran 2-4x faster in isolation but won nothing measurable end to
+// end (paired A/B on BM_PacketSim* and the fat-tree benches, 4-core
+// AVX-512 Xeon: within noise), so vector code does not pay here.
+
 /// Index of the first minimum of v[0..n), n >= 1. The first-index tie-break
 /// is load-bearing: it is the channel-arbitration order of
 /// LinkTable::earliest (historically std::min_element), so equal-cycle
 /// channels must resolve to the lowest index.
-std::size_t first_min_index_i64_scalar(const std::int64_t* v, std::size_t n);
 std::size_t first_min_index_i64(const std::int64_t* v, std::size_t n);
 
 /// Sign mask of a strided i32 column: out_words[w] bit b is set iff
@@ -56,9 +60,6 @@ std::size_t first_min_index_i64(const std::int64_t* v, std::size_t n);
 /// zero. `stride` is in i32 elements. The packet engine points this at the
 /// `link` column of its 16-byte window events (stride 4) to split each
 /// 64-event block into deliveries (negative link) and link traversals.
-void negative_mask_i32_stride_scalar(const std::int32_t* v, std::size_t n,
-                                     std::size_t stride,
-                                     std::uint64_t* out_words);
 void negative_mask_i32_stride(const std::int32_t* v, std::size_t n,
                               std::size_t stride, std::uint64_t* out_words);
 

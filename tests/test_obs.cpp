@@ -375,6 +375,153 @@ TEST(Sweep, RejectsSharedRegistryInParallel) {
 
 // ---- bench CLI -----------------------------------------------------------
 
+/// Parses `args` against a table with every flag kind the benches declare
+/// plus `sinks`; renders the rc, every parsed value and the stderr text.
+struct CliOutcome {
+  int rc = 0;
+  std::string values;
+  std::string err;
+};
+
+CliOutcome parse(std::vector<std::string> args, unsigned sinks) {
+  int threads = 1;
+  bool ci = false;
+  bool resume = false;
+  int crash_after = 0;
+  int shard = -1;
+  std::string dir = "d";
+  obs::ObsFlags o;
+  std::string prog = "prog";
+  std::vector<char*> argv = {prog.data()};
+  for (std::string& a : args) argv.push_back(a.data());
+  std::ostringstream err;
+  CliOutcome out;
+  out.rc = obs::parse_cli(
+      static_cast<int>(argv.size()), argv.data(),
+      {{"--threads N", &threads, "worker threads"},
+       {"--ci", &ci, "CI slice"},
+       {"--resume", &resume, "resume"},
+       {"--crash-after N", &crash_after, "crash"},
+       {"--shard I", &shard, "shard"},
+       {"--checkpoint-dir DIR", &dir, "checkpoints"}},
+      sinks, &o, err);
+  std::ostringstream v;
+  v << threads << ' ' << ci << ' ' << resume << ' ' << crash_after << ' '
+    << shard << ' ' << dir << " | " << o.trace << ' ' << o.profile << ' '
+    << o.trace_json << ',' << o.metrics_csv << ',' << o.critical_path << ','
+    << o.whatif << ',' << o.links_csv;
+  out.values = v.str();
+  out.err = err.str();
+  return out;
+}
+
+TEST(ObsCli, TableParsesBothSpellingsDefaultsAndLastValue) {
+  using namespace obs::sink;
+  const unsigned fig3 = kMachine | kCriticalPath | kWhatif;
+  const struct {
+    std::vector<std::string> args;
+    unsigned sinks;
+    const char* values;
+  } cases[] = {
+      {{}, 0, "1 0 0 0 -1 d | 0 0 ,,,,"},  // defaults when absent
+      {{"--threads", "8"}, 0, "8 0 0 0 -1 d | 0 0 ,,,,"},
+      {{"--threads=8"}, 0, "8 0 0 0 -1 d | 0 0 ,,,,"},
+      // A flag need not lead argv; a repeated one keeps its last value.
+      {{"--ci", "--threads", "2"}, 0, "2 1 0 0 -1 d | 0 0 ,,,,"},
+      {{"--threads", "4", "--threads=0"}, 0, "0 0 0 0 -1 d | 0 0 ,,,,"},
+      {{"--crash-after", "7", "--resume", "--checkpoint-dir", "/tmp/x"},
+       0,
+       "1 0 1 7 -1 /tmp/x | 0 0 ,,,,"},
+      {{"--crash-after=7", "--resume", "--checkpoint-dir=/tmp/x"},
+       0,
+       "1 0 1 7 -1 /tmp/x | 0 0 ,,,,"},
+      {{"--shard", "-3"}, 0, "1 0 0 0 -3 d | 0 0 ,,,,"},
+      {{"--shard=-3"}, 0, "1 0 0 0 -3 d | 0 0 ,,,,"},
+      {{"--profile", "--trace-json", "t.json", "--metrics-csv", "m.csv",
+        "--links-csv", "l.csv"},
+       kPacket,
+       "1 0 0 0 -1 d | 0 1 t.json,m.csv,,,l.csv"},
+      {{"--profile", "--trace-json=t.json", "--metrics-csv=m.csv",
+        "--links-csv=l.csv"},
+       kPacket,
+       "1 0 0 0 -1 d | 0 1 t.json,m.csv,,,l.csv"},
+      {{"--trace", "--critical-path", "c.csv", "--whatif", "L=0.5x,o=2x"},
+       fig3,
+       "1 0 0 0 -1 d | 1 0 ,,c.csv,L=0.5x,o=2x,"},
+      {{"--trace", "--critical-path=c.csv", "--whatif=L=0.5x,o=2x"},
+       fig3,
+       "1 0 0 0 -1 d | 1 0 ,,c.csv,L=0.5x,o=2x,"},
+  };
+  for (const auto& c : cases) {
+    const CliOutcome out = parse(c.args, c.sinks);
+    EXPECT_EQ(out.rc, 0) << out.err;
+    EXPECT_EQ(out.values, c.values);
+    EXPECT_EQ(out.err, "");
+  }
+}
+
+TEST(ObsCli, UnknownUndeclaredMalformedOrMissingExitsTwoWithUsage) {
+  using namespace obs::sink;
+  const unsigned saturation = kPacket & ~kLinksCsv;
+  const struct {
+    std::vector<std::string> args;
+    unsigned sinks;
+    const char* message;
+  } cases[] = {
+      {{"--threads", "abc"}, 0, "bad value 'abc' for --threads"},
+      {{"--threads=8x"}, 0, "bad value '8x' for --threads"},
+      {{"--threads"}, 0, "bad value for --threads (missing)"},
+      {{"--threads", "99999999999"}, 0, "bad value '99999999999'"},
+      {{"--shard", "zz"}, 0, "bad value 'zz' for --shard"},
+      {{"--resume=1"}, 0, "bad value '1' for --resume (takes no value)"},
+      {{"--checkpoint-dir="}, 0, "bad value '' for --checkpoint-dir"},
+      {{"--sim-thread"}, 0, "unknown argument '--sim-thread'"},
+      {{"--threads", "8", "--other"}, 0, "unknown argument '--other'"},
+      {{"8"}, 0, "unknown argument '8'"},
+      {{"--profile"}, 0, "unknown argument '--profile'"},
+      // Packet-level benches have no Machine to trace or DAG to record.
+      {{"--trace"}, kPacket, "unknown argument '--trace'"},
+      {{"--critical-path", "c.json"}, kPacket,
+       "unknown argument '--critical-path'"},
+      {{"--whatif=L=2x"}, kPacket, "unknown argument '--whatif=L=2x'"},
+      // fig_saturation has no single run a links CSV could name.
+      {{"--links-csv", "x"}, saturation, "unknown argument '--links-csv'"},
+      // Machine benches without a recorder (fig4, tab_models, ...).
+      {{"--critical-path", "c.json"}, kMachine,
+       "unknown argument '--critical-path'"},
+      {{"--links-csv", "x"}, kMachine, "unknown argument '--links-csv'"},
+  };
+  for (const auto& c : cases) {
+    const CliOutcome out = parse(c.args, c.sinks);
+    EXPECT_EQ(out.rc, 2) << c.message;
+    EXPECT_NE(out.err.find(std::string("prog: ") + c.message),
+              std::string::npos)
+        << out.err;
+    EXPECT_NE(out.err.find("\nusage: prog [--threads N] [--ci] [--resume]"),
+              std::string::npos)
+        << out.err;
+  }
+  // The help lines come from the same table, with each default.
+  const std::string err = parse({"--nope"}, kPacket).err;
+  EXPECT_NE(err.find("[--checkpoint-dir DIR] [--profile] [--trace-json FILE] "
+                     "[--metrics-csv FILE] [--links-csv FILE]\n"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("  --threads N           worker threads  [1]\n"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("  --checkpoint-dir DIR  checkpoints  [d]\n"),
+            std::string::npos)
+      << err;
+  // A binary with an empty table says so.
+  std::string prog = "prog", arg = "--x";
+  char* argv[] = {prog.data(), arg.data()};
+  std::ostringstream out;
+  EXPECT_EQ(obs::parse_cli(2, argv, {}, 0, nullptr, out), 2);
+  EXPECT_NE(out.str().find("usage: prog (takes no flags)"), std::string::npos);
+  EXPECT_EQ(obs::parse_cli(1, argv, {}, 0, nullptr, out), 0);
+}
+
 TEST(ObsCli, MetricsCsvWithoutRegistryIsRejected) {
   // A bench that accepts --metrics-csv must attach a registry to the run it
   // emits; without one the requested file would silently never be written.

@@ -145,41 +145,6 @@ TEST(Sweep, MapPreservesOrder) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i * i);
 }
 
-TEST(Sweep, ThreadsFromArgs) {
-  {
-    const char* raw[] = {"prog", "--threads", "8", "--other"};
-    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1]),
-                    const_cast<char*>(raw[2]), const_cast<char*>(raw[3])};
-    int argc = 4;
-    EXPECT_EQ(threads_from_args(argc, argv), 8);
-    EXPECT_EQ(argc, 2);  // --threads 8 consumed; --other kept
-    EXPECT_STREQ(argv[1], "--other");
-  }
-  {
-    const char* raw[] = {"prog", "--threads=3"};
-    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1])};
-    int argc = 2;
-    EXPECT_EQ(threads_from_args(argc, argv), 3);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    // The flag need not lead argv; only it and its value are consumed.
-    const char* raw[] = {"prog", "--ci", "--threads", "2"};
-    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1]),
-                    const_cast<char*>(raw[2]), const_cast<char*>(raw[3])};
-    int argc = 4;
-    EXPECT_EQ(threads_from_args(argc, argv), 2);
-    EXPECT_EQ(argc, 2);
-    EXPECT_STREQ(argv[1], "--ci");
-  }
-  {
-    const char* raw[] = {"prog"};
-    char* argv[] = {const_cast<char*>(raw[0])};
-    int argc = 1;
-    EXPECT_EQ(threads_from_args(argc, argv, 5), 5);
-  }
-}
-
 TEST(Sweep, ZeroThreadsMeansHardwareConcurrency) {
   EXPECT_GE(SweepRunner({0}).threads(), 1);
 }
@@ -225,41 +190,6 @@ TEST(Sweep, RunnerStaysUsableAfterFailure) {
   for (int round = 0; round < 2; ++round) {
     EXPECT_THROW(runner.run(bad), std::runtime_error);
     EXPECT_EQ(render(runner.run(good)), expected);
-  }
-}
-
-TEST(Sweep, IntStringBoolFromArgs) {
-  const char* raw[] = {"prog",      "--crash-after", "7",       "--resume",
-                       "--checkpoint-dir", "/tmp/x", "--other"};
-  char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1]),
-                  const_cast<char*>(raw[2]), const_cast<char*>(raw[3]),
-                  const_cast<char*>(raw[4]), const_cast<char*>(raw[5]),
-                  const_cast<char*>(raw[6])};
-  int argc = 7;
-  EXPECT_EQ(int_from_args(argc, argv, "--crash-after"), 7);
-  EXPECT_EQ(argc, 5);
-  EXPECT_TRUE(bool_from_args(argc, argv, "--resume"));
-  EXPECT_EQ(argc, 4);
-  EXPECT_FALSE(bool_from_args(argc, argv, "--resume"));  // already consumed
-  EXPECT_EQ(string_from_args(argc, argv, "--checkpoint-dir"), "/tmp/x");
-  EXPECT_EQ(argc, 2);
-  EXPECT_STREQ(argv[1], "--other");
-  // Defaults when the flag is absent.
-  EXPECT_EQ(int_from_args(argc, argv, "--missing", 9), 9);
-  EXPECT_EQ(string_from_args(argc, argv, "--missing", "d"), "d");
-}
-
-TEST(Sweep, RejectUnknownFlagsExitsWithUsage) {
-  {
-    const char* raw[] = {"prog"};
-    char* argv[] = {const_cast<char*>(raw[0])};
-    EXPECT_EQ(reject_unknown_flags(1, argv, "[--threads N]"), 0);
-  }
-  {
-    // A leftover argument is CLI misuse: exit code 2, by convention.
-    const char* raw[] = {"prog", "--sim-thread"};
-    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1])};
-    EXPECT_EQ(reject_unknown_flags(2, argv, "[--threads N]"), 2);
   }
 }
 

@@ -28,43 +28,16 @@
 #include <string>
 #include <vector>
 
-#include "exp/sweep.hpp"
 #include "mc/explorer.hpp"
 #include "mc/invariants.hpp"
 #include "mc/oracle.hpp"
 #include "mc/scenarios.hpp"
+#include "obs/cli.hpp"
 #include "util/check.hpp"
 
 namespace {
 
 using namespace logp;
-
-constexpr const char* kUsage =
-    "usage: mc_check [options]\n"
-    "  --scenario NAMES   comma list or 'all' (send_ack, retransmit_race,\n"
-    "                     reliable_broadcast, resilient_broadcast,\n"
-    "                     resilient_reduce, detector, rejoin,\n"
-    "                     epoch_broadcast)       [send_ack]\n"
-    "  --p LIST           comma list of processor counts       [3]\n"
-    "  --messages N       payloads per sender/destination pair [1]\n"
-    "  --retries N        reliable-layer max retries           [3]\n"
-    "  --timeout CYC      first ack timeout (0 = scenario default)\n"
-    "  --drop-budget N    adversarial losses per path (<= retries)\n"
-    "  --latency-min CYC  enable latency choice points in [CYC, L]\n"
-    "  --dead LIST        processors failed from cycle 0       []\n"
-    "  --max-branches N   cap explored interleavings (0 = exhaustive)\n"
-    "  --shards N / --shard I   partition the root subtrees (I=-1: all)\n"
-    "  --threads N        parallelism across shards            [1]\n"
-    "  --seed-prefix CSV  explore only under this choice prefix\n"
-    "  --max-violations N stop after N violations              [1]\n"
-    "  --replay CSV       run one interleaving, report, and exit\n"
-    "  --dump-dir DIR     write counterexample / replay traces here\n"
-    "                     (Chrome trace + critical-path JSON per run)\n"
-    "  --summary-json F   write the model_check coverage summary\n"
-    "  --rounds N         heartbeat rounds in the detector scenario  [2]\n"
-    "  --mutate-no-dedup  seed the dedup bug (mutation test; must fail)\n"
-    "  --mutate-no-epoch-bump  seed the membership epoch bug (rejoin\n"
-    "                     scenario mutation test; must fail)\n";
 
 std::vector<int> parse_int_list(const std::string& csv, const char* what) {
   std::vector<int> vals = mc::parse_choices(csv);
@@ -144,36 +117,64 @@ int run_replay(mc::ScenarioConfig cfg, const std::vector<int>& choices,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using exp::bool_from_args;
-  using exp::int_from_args;
-  using exp::string_from_args;
-
-  const std::string scen_arg = string_from_args(argc, argv, "--scenario",
-                                                "send_ack");
-  const std::string p_arg = string_from_args(argc, argv, "--p", "3");
-  const int messages = int_from_args(argc, argv, "--messages", 1);
-  const int retries = int_from_args(argc, argv, "--retries", 3);
-  const int timeout = int_from_args(argc, argv, "--timeout", 0);
-  const int drop_budget = int_from_args(argc, argv, "--drop-budget", -1);
-  const int latency_min = int_from_args(argc, argv, "--latency-min", -1);
-  const std::string dead_arg = string_from_args(argc, argv, "--dead", "");
-  const int max_branches = int_from_args(argc, argv, "--max-branches", 0);
-  const int shards = int_from_args(argc, argv, "--shards", 1);
-  const int shard = int_from_args(argc, argv, "--shard", -1);
-  const int threads = int_from_args(argc, argv, "--threads", 1);
-  const std::string prefix_arg =
-      string_from_args(argc, argv, "--seed-prefix", "");
-  const int max_violations = int_from_args(argc, argv, "--max-violations", 1);
-  const std::string replay_arg = string_from_args(argc, argv, "--replay", "");
-  const bool do_replay = replay_arg != "";
-  const std::string dump_dir = string_from_args(argc, argv, "--dump-dir", "");
-  const std::string summary_path =
-      string_from_args(argc, argv, "--summary-json", "");
-  const int rounds = int_from_args(argc, argv, "--rounds", 0);
-  const bool mutate = bool_from_args(argc, argv, "--mutate-no-dedup");
-  const bool mutate_bump =
-      bool_from_args(argc, argv, "--mutate-no-epoch-bump");
-  if (const int rc = exp::reject_unknown_flags(argc, argv, kUsage)) return rc;
+  std::string scen_arg = "send_ack";
+  std::string p_arg = "3";
+  int messages = 1;
+  int retries = 3;
+  int timeout = 0;
+  int drop_budget = -1;
+  int latency_min = -1;
+  std::string dead_arg;
+  int max_branches = 0;
+  mc::ExplorerOptions opts;
+  std::string prefix_arg;
+  std::string replay_arg;
+  std::string dump_dir;
+  std::string summary_path;
+  int rounds = 0;
+  bool mutate = false;
+  bool mutate_bump = false;
+  if (const int rc = obs::parse_cli(
+          argc, argv,
+          {{"--scenario NAMES", &scen_arg,
+            "comma list or 'all' (send_ack, retransmit_race, "
+            "reliable_broadcast, resilient_broadcast, resilient_reduce, "
+            "detector, rejoin, epoch_broadcast)"},
+           {"--p LIST", &p_arg, "comma list of processor counts"},
+           {"--messages N", &messages, "payloads per sender/destination pair"},
+           {"--retries N", &retries, "reliable-layer max retries"},
+           {"--timeout CYC", &timeout,
+            "first ack timeout (0 = scenario default)"},
+           {"--drop-budget N", &drop_budget,
+            "adversarial losses per path (<= retries; -1 = scenario default)"},
+           {"--latency-min CYC", &latency_min,
+            "enable latency choice points in [CYC, L] (-1 = off)"},
+           {"--dead LIST", &dead_arg, "processors failed from cycle 0"},
+           {"--max-branches N", &max_branches,
+            "cap explored interleavings (0 = exhaustive)"},
+           {"--shards N", &opts.shards, "partition the root subtrees"},
+           {"--shard I", &opts.shard, "explore only shard I (-1: all)"},
+           {"--threads N", &opts.threads, "parallelism across shards"},
+           {"--seed-prefix CSV", &prefix_arg,
+            "explore only under this choice prefix"},
+           {"--max-violations N", &opts.max_violations,
+            "stop after N violations"},
+           {"--replay CSV", &replay_arg,
+            "run one interleaving, report, and exit"},
+           {"--dump-dir DIR", &dump_dir,
+            "write counterexample / replay traces here (Chrome trace + "
+            "critical-path JSON per run)"},
+           {"--summary-json F", &summary_path,
+            "write the model_check coverage summary"},
+           {"--rounds N", &rounds,
+            "heartbeat rounds in the detector scenario (0 = scenario "
+            "default, 2)"},
+           {"--mutate-no-dedup", &mutate,
+            "seed the dedup bug (mutation test; must fail)"},
+           {"--mutate-no-epoch-bump", &mutate_bump,
+            "seed the membership epoch bug (rejoin scenario mutation test; "
+            "must fail)"}}))
+    return rc;
 
   try {
     std::vector<std::string> scenarios;
@@ -185,6 +186,8 @@ int main(int argc, char** argv) {
       while (std::getline(is, tok, ',')) scenarios.push_back(tok);
     }
     const std::vector<int> ps = parse_int_list(p_arg, "--p");
+    opts.max_branches = max_branches;
+    opts.seed_prefix = mc::parse_choices(prefix_arg);
 
     std::vector<ComboSummary> combos;
     bool any_violation = false;
@@ -205,16 +208,8 @@ int main(int argc, char** argv) {
             mutate && !cfg.is_resilient() && !cfg.is_membership();
         cfg.mutate_no_epoch_bump = mutate_bump && cfg.scenario == "rejoin";
 
-        if (do_replay)
+        if (!replay_arg.empty())
           return run_replay(cfg, mc::parse_choices(replay_arg), dump_dir);
-
-        mc::ExplorerOptions opts;
-        opts.max_branches = max_branches;
-        opts.shards = shards;
-        opts.shard = shard;
-        opts.threads = threads;
-        opts.seed_prefix = mc::parse_choices(prefix_arg);
-        opts.max_violations = max_violations;
 
         const mc::ExplorerResult res = mc::explore(cfg, opts);
         std::printf(
@@ -250,7 +245,7 @@ int main(int argc, char** argv) {
     if (!summary_path.empty()) write_summary(summary_path, combos);
     return any_violation ? 1 : 0;
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "mc_check: %s\n%s", e.what(), kUsage);
+    std::fprintf(stderr, "mc_check: %s\n", e.what());
     return 2;
   }
 }
