@@ -5,16 +5,25 @@
 // The paper's headline: with the naive schedule the remap takes more than
 // 1.5x the computation; staggered cuts it to ~1/7th of the computation —
 // an order of magnitude improvement from scheduling alone.
+//
+// Each (points, schedule) run is an independent simulation; the sweep
+// harness runs them across `--threads N` workers and merges rows in grid
+// order, so the table is byte-identical for any thread count.
+#include <functional>
 #include <iostream>
+#include <vector>
 
 #include "algo/fft.hpp"
+#include "exp/sweep.hpp"
 #include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace logp;
-  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
+  int threads = 1;
+  if (const int rc = obs::parse_cli(argc, argv, {obs::threads_flag(&threads)}))
+    return rc;
   namespace coll = runtime::coll;
   const int P = 128;
   const Params prm = Cm5::params(P);
@@ -22,19 +31,31 @@ int main(int argc, char** argv) {
 
   std::cout << "== Figure 6: FFT phase times, " << P
             << "-processor CM-5 (seconds) ==\n\n";
+  const std::vector<std::int64_t> points = {
+      std::int64_t{1} << 18, std::int64_t{1} << 20, std::int64_t{1} << 22,
+      std::int64_t{1} << 23, std::int64_t{1} << 24};
+  const coll::A2ASchedule schedules[] = {coll::A2ASchedule::kStaggered,
+                                         coll::A2ASchedule::kNaive};
+  std::vector<std::function<algo::FftResult()>> jobs;
+  for (const std::int64_t n : points)
+    for (const auto schedule : schedules)
+      jobs.push_back([prm, n, schedule] {
+        algo::FftConfig cfg;
+        cfg.n = n;
+        cfg.carry_data = false;
+        cfg.schedule = schedule;
+        return algo::run_hybrid_fft(prm, cfg);
+      });
+  const exp::SweepRunner runner({threads});
+  const auto results = runner.map(jobs);
+
   util::TablePrinter tp({"FFT points", "compute", "naive remap",
                          "staggered remap", "naive/compute",
                          "stagger/compute", "naive stalls (Mcyc)"});
-  for (const std::int64_t n :
-       {std::int64_t{1} << 18, std::int64_t{1} << 20, std::int64_t{1} << 22,
-        std::int64_t{1} << 23, std::int64_t{1} << 24}) {
-    algo::FftConfig cfg;
-    cfg.n = n;
-    cfg.carry_data = false;
-    cfg.schedule = coll::A2ASchedule::kStaggered;
-    const auto stag = algo::run_hybrid_fft(prm, cfg);
-    cfg.schedule = coll::A2ASchedule::kNaive;
-    const auto naive = algo::run_hybrid_fft(prm, cfg);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::int64_t n = points[i];
+    const auto& stag = results[2 * i];
+    const auto& naive = results[2 * i + 1];
 
     const double compute =
         double(stag.phase1_end + stag.phase3_time()) * sec;

@@ -9,9 +9,18 @@
 //                   messages, which re-aligns the processors;
 //   double net    — both CM-5 data rails, i.e. half the gap; bandwidth is
 //                   not the binding term, so the gain is small.
+//
+// Each (points, column) run is an independent simulation; the sweep harness
+// runs them across `--threads N` workers and merges rows in grid order, so
+// the table is byte-identical for any thread count.
+#include <functional>
 #include <iostream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "algo/fft.hpp"
+#include "exp/sweep.hpp"
 #include "obs/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
@@ -31,7 +40,9 @@ double rate_mbs(const Params& prm, const algo::FftConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const int rc = obs::parse_cli(argc, argv, {})) return rc;
+  int threads = 1;
+  if (const int rc = obs::parse_cli(argc, argv, {obs::threads_flag(&threads)}))
+    return rc;
   const int P = 128;
   const Params base = Cm5::params(P);
   Params twonet = base;
@@ -39,34 +50,46 @@ int main(int argc, char** argv) {
 
   std::cout << "== Figure 8: remap communication rate, MB/s per processor "
                "(P = 128) ==\n\n";
+  const std::vector<std::int64_t> points = {
+      std::int64_t{1} << 16, std::int64_t{1} << 18, std::int64_t{1} << 20,
+      std::int64_t{1} << 21, std::int64_t{1} << 22};
+  // The four simulated columns: schedule and machine. 2% execution-time
+  // jitter models the asynchrony the paper observed.
+  struct Column {
+    coll::A2ASchedule schedule;
+    Params prm;
+  };
+  const Column columns[] = {{coll::A2ASchedule::kNaive, base},
+                            {coll::A2ASchedule::kStaggered, base},
+                            {coll::A2ASchedule::kSynchronized, base},
+                            {coll::A2ASchedule::kStaggered, twonet}};
+  std::vector<std::function<double()>> jobs;
+  for (const std::int64_t n : points)
+    for (const Column& col : columns)
+      jobs.push_back([n, col] {
+        algo::FftConfig cfg;
+        cfg.n = n;
+        cfg.carry_data = false;
+        cfg.schedule = col.schedule;
+        cfg.compute_jitter = 0.02;
+        const auto r = algo::run_hybrid_fft(col.prm, cfg);
+        return rate_mbs(col.prm, cfg, r.remap_time());
+      });
+  const exp::SweepRunner runner({threads});
+  const auto rates = runner.map(jobs);
+
   util::TablePrinter tp({"FFT points", "predicted", "naive", "staggered",
                          "synchronized", "double net"});
-  for (const std::int64_t n :
-       {std::int64_t{1} << 16, std::int64_t{1} << 18, std::int64_t{1} << 20,
-        std::int64_t{1} << 21, std::int64_t{1} << 22}) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
     algo::FftConfig cfg;
-    cfg.n = n;
+    cfg.n = points[i];
     cfg.carry_data = false;
-
-    auto run = [&](coll::A2ASchedule s, const Params& prm, double jitter) {
-      algo::FftConfig c = cfg;
-      c.schedule = s;
-      c.compute_jitter = jitter;
-      const auto r = algo::run_hybrid_fft(prm, c);
-      return rate_mbs(prm, c, r.remap_time());
-    };
-
-    const double predicted =
-        algo::predicted_remap_rate_mbs(base, cfg, Cm5::kTickNs);
-    // 2% execution-time jitter models the asynchrony the paper observed.
-    const double naive = run(coll::A2ASchedule::kNaive, base, 0.02);
-    const double stag = run(coll::A2ASchedule::kStaggered, base, 0.02);
-    const double sync = run(coll::A2ASchedule::kSynchronized, base, 0.02);
-    const double dbl = run(coll::A2ASchedule::kStaggered, twonet, 0.02);
-
-    tp.add_row({util::fmt_pow2(n), util::fmt(predicted, 2),
-                util::fmt(naive, 2), util::fmt(stag, 2), util::fmt(sync, 2),
-                util::fmt(dbl, 2)});
+    std::vector<std::string> row = {
+        util::fmt_pow2(points[i]),
+        util::fmt(algo::predicted_remap_rate_mbs(base, cfg, Cm5::kTickNs), 2)};
+    for (std::size_t c = 0; c < std::size(columns); ++c)
+      row.push_back(util::fmt(rates[i * std::size(columns) + c], 2));
+    tp.add_row(row);
   }
   tp.print(std::cout);
 

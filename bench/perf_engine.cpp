@@ -2,9 +2,11 @@
 // itself — events per second for message ping-pong, broadcast fan-out and
 // all-to-all — so regressions in the engine are visible, plus sweep
 // throughput (events/sec through exp::SweepRunner at 1, 4 and N workers) so
-// regressions in the parallel harness are too. BM_PacketSim and
-// BM_MachineChurn guard the zero-allocation hot paths of the packet-level
-// network simulator and the machine's message/continuation pools.
+// regressions in the parallel harness are too. BM_DeepMailbox times the
+// runtime's receive path with thousands of unclaimed messages queued.
+// BM_PacketSim and BM_MachineChurn guard the zero-allocation hot paths of
+// the packet-level network simulator and the machine's message/continuation
+// pools.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -86,6 +88,33 @@ void BM_AllToAll(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * P * (P - 1) * 8);
 }
 BENCHMARK(BM_AllToAll)->Arg(16)->Arg(64);
+
+/// Receive path under a deep mailbox, the FFT remap's shape: proc 0 streams
+/// k messages at proc 1, which waits on a trailing marker (so all k are
+/// accepted into its mailbox unclaimed) and then drains them with recv(tag).
+/// Each take matches at the head, so items/s should stay flat in k.
+void BM_DeepMailbox(benchmark::State& state) {
+  const auto k = static_cast<std::int64_t>(state.range(0));
+  for (auto _ : state) {
+    sim::MachineConfig cfg;
+    cfg.params = {6, 2, 4, 2};
+    runtime::Scheduler sched(cfg);
+    sched.set_program([&](runtime::Ctx ctx) -> runtime::Task {
+      return [](runtime::Ctx c, std::int64_t n) -> runtime::Task {
+        if (c.proc() == 0) {
+          for (std::int64_t i = 0; i < n; ++i) co_await c.send(1, 1);
+          co_await c.send(1, 2);
+        } else {
+          (void)co_await c.recv(2);
+          for (std::int64_t i = 0; i < n; ++i) (void)co_await c.recv(1);
+        }
+      }(ctx, k);
+    });
+    benchmark::DoNotOptimize(sched.run());
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+BENCHMARK(BM_DeepMailbox)->Arg(1024)->Arg(8192);
 
 /// Packet-level network simulator throughput (delivered packets/sec of wall
 /// time). Arg = injection rate in units of 1e-4 packets/node/cycle; 200 is

@@ -96,10 +96,10 @@ bool Scheduler::try_take_mailbox(ProcId p, std::int32_t tag, ProcId src,
                                  Message* out) {
   auto& ps = pstates_[static_cast<std::size_t>(p)];
   const RecvWaiter probe{tag, src, nullptr, nullptr};
-  for (auto it = ps.mailbox.begin(); it != ps.mailbox.end(); ++it) {
-    if (matches(probe, *it)) {
-      *out = *it;
-      ps.mailbox.erase(it);
+  for (std::size_t i = 0; i < ps.mailbox.size(); ++i) {
+    if (matches(probe, ps.mailbox[i])) {
+      *out = ps.mailbox[i];
+      ps.mailbox.erase(i);
       return true;
     }
   }

@@ -180,8 +180,14 @@ class Scheduler final : public sim::Host {
   struct PState {
     util::RingDeque<std::coroutine_handle<>> ready;
     std::coroutine_handle<> cpu_owner = nullptr;  ///< awaiting compute/send
-    std::vector<RecvWaiter> recv_waiters;  ///< tiny; matched front-to-back
-    std::vector<Message> mailbox;          ///< tiny; matched front-to-back
+    /// Blocked recv()s, one per waiting task; an accepted message no
+    /// handler claims goes to the first waiter it matches.
+    std::vector<RecvWaiter> recv_waiters;
+    /// Accepted messages no handler or waiter claimed, in arrival order. A
+    /// recv takes the first match front to back: O(1) when it is the head
+    /// (every deep-mailbox drain in the repo), O(depth) otherwise. The ring
+    /// never shrinks, so a warm mailbox refills without allocating.
+    util::RingDeque<Message> mailbox;
     std::vector<Task> toplevel;  ///< owned frames (spawned tasks)
     bool pumping = false;
     std::int64_t sleepers = 0;

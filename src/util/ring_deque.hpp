@@ -2,9 +2,10 @@
 //
 // std::deque pays a block-map indirection on every access and two heap
 // allocations on construction; the engine's queues (pending arrivals, ready
-// coroutines) are almost always tiny, so a power-of-two ring over one
-// contiguous buffer is both smaller and faster. Grows geometrically; never
-// shrinks. Only the operations the simulator needs are provided.
+// coroutines, runtime mailboxes) sit in one contiguous power-of-two ring
+// instead. Grows geometrically; never shrinks, so a warm queue refilled to
+// its high-water mark never allocates. Only the operations the simulator
+// needs are provided.
 #pragma once
 
 #include <cstddef>
@@ -47,28 +48,27 @@ class RingDeque {
     --size_;
   }
 
-  void clear() {
-    while (size_ > 0) pop_front();
-  }
-
-  /// Grows the ring to hold at least n elements (next power of two), so a
-  /// caller that knows its high-water mark up front never regrows mid-loop.
-  void reserve(std::size_t n) {
-    if (n <= buf_.size()) return;
-    std::size_t cap = buf_.empty() ? 8 : buf_.size();
-    while (cap < n) cap *= 2;
-    std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i) next[i] = std::move((*this)[i]);
-    buf_ = std::move(next);
-    head_ = 0;
+  /// Removes element i (i < size()) by shifting the elements behind it down
+  /// one slot: O(1) at the front, O(size - i) elsewhere.
+  void erase(std::size_t i) {
+    if (i == 0) {
+      pop_front();
+      return;
+    }
+    for (std::size_t j = i + 1; j < size_; ++j)
+      (*this)[j - 1] = std::move((*this)[j]);
+    if constexpr (!std::is_trivially_destructible_v<T>)
+      (*this)[size_ - 1] = T{};
+    --size_;
   }
 
  private:
   std::size_t wrap(std::size_t i) const { return i & (buf_.size() - 1); }
 
+  /// Doubles the ring, starting from one slot as std::vector does: most
+  /// mailboxes stay a message or two deep, and each slot is value-initialized.
   void grow() {
-    const std::size_t cap = buf_.empty() ? 8 : buf_.size() * 2;
-    std::vector<T> next(cap);
+    std::vector<T> next(buf_.empty() ? 1 : buf_.size() * 2);
     for (std::size_t i = 0; i < size_; ++i) next[i] = std::move((*this)[i]);
     buf_ = std::move(next);
     head_ = 0;

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
 #include <numeric>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "runtime/bulk.hpp"
 #include "runtime/scheduler.hpp"
+#include "util/rng.hpp"
 
 namespace logp::runtime {
 namespace {
@@ -81,6 +86,161 @@ TEST(Runtime, RecvMatchesBySource) {
   });
   sched.run();
   EXPECT_EQ(order, (std::vector<ProcId>{1, 0}));
+}
+
+TEST(Runtime, DeepMailboxTakesFirstMatchInArrivalOrder) {
+  // Proc 0 lets a few hundred messages with mixed tags and sources pile up,
+  // then drains them with a seeded mix of recv shapes while injecting as
+  // many locally, so head and tail travel round the ring many times. Every
+  // take must equal the first match in `ref`, a std::list mirroring the
+  // mailbox in arrival order.
+  constexpr int P = 4;
+  constexpr int kPerSender = 100;
+  constexpr std::int32_t kTags = 3;     // user tags 1..kTags
+  constexpr std::int32_t kWire = 1000;  // network tag; word 1 = user tag
+  constexpr std::int32_t kAbsentTag = 99;
+  struct Entry {
+    std::int32_t tag;
+    ProcId src;
+    std::uint64_t id;
+  };
+  std::list<Entry> ref;
+  int arrived = 0, takes = 0, mid_takes = 0, timeouts = 0;
+
+  Scheduler sched(cfg({12, 2, 3, P}));
+  // Network messages reach the mailbox through this handler, which records
+  // them and re-delivers them under their user tag: `ref` sees exactly the
+  // order in which the mailbox receives them.
+  sched.set_handler(kWire, [&](Ctx ctx, const Message& m) {
+    Message u = m;
+    u.tag = static_cast<std::int32_t>(m.word(1));
+    ref.push_back({u.tag, u.src, u.word(0)});
+    ++arrived;
+    ctx.scheduler().inject_local(ctx.proc(), u);
+  });
+  sched.set_program([&](Ctx ctx) -> Task {
+    util::Xoshiro256StarStar rng(static_cast<std::uint64_t>(ctx.proc()) + 7);
+    if (ctx.proc() != 0) {
+      for (int i = 0; i < kPerSender; ++i) {
+        if (rng.bernoulli(0.2)) co_await ctx.compute(Cycles(rng.uniform(9)));
+        co_await ctx.send(0, kWire,
+                          std::uint64_t(ctx.proc()) * 1000 + std::uint64_t(i),
+                          1 + rng.uniform(kTags));
+      }
+      co_return;
+    }
+    std::uint64_t next_local = 100000;
+    auto inject = [&] {
+      Message m;
+      m.src = static_cast<ProcId>(rng.uniform(P));
+      m.dst = 0;
+      m.tag = 1 + static_cast<std::int32_t>(rng.uniform(kTags));
+      m.push_word(next_local++);
+      ref.push_back({m.tag, m.src, m.word(0)});
+      ctx.scheduler().inject_local(0, m);
+    };
+    // Pile up: sleeping leaves the CPU idle, so arrivals are accepted into
+    // the mailbox while no recv is waiting.
+    while (arrived < (P - 1) * kPerSender) {
+      if (rng.bernoulli(0.3)) inject();
+      co_await ctx.sleep_until(ctx.now() + 20);
+    }
+    // Drain with every recv shape; keys come from a random queued message,
+    // so most matches sit behind the head.
+    auto take = [&](std::int32_t tag, ProcId src, const Message& got) {
+      auto it = std::find_if(ref.begin(), ref.end(), [&](const Entry& e) {
+        return (tag == kAnyTag || e.tag == tag) &&
+               (src == kAnySrc || e.src == src);
+      });
+      ASSERT_NE(it, ref.end());
+      EXPECT_EQ(got.tag, it->tag);
+      EXPECT_EQ(got.src, it->src);
+      EXPECT_EQ(got.word(0), it->id);
+      if (it != ref.begin()) ++mid_takes;
+      ref.erase(it);
+      ++takes;
+    };
+    for (int step = 0; step < 2400 || !ref.empty(); ++step) {
+      if (step < 2400 && (ref.empty() || rng.bernoulli(0.5))) {
+        inject();
+        continue;
+      }
+      const Entry& e = *std::next(
+          ref.begin(), static_cast<std::ptrdiff_t>(rng.uniform(ref.size())));
+      const std::int32_t tag = e.tag;
+      const ProcId src = e.src;
+      switch (step < 2400 ? rng.uniform(5) : 0) {
+        case 0:
+          take(kAnyTag, kAnySrc, co_await ctx.recv());
+          break;
+        case 1:
+          take(tag, kAnySrc, co_await ctx.recv(tag));
+          break;
+        case 2:
+          take(kAnyTag, src, co_await ctx.recv(kAnyTag, src));
+          break;
+        case 3:
+          take(tag, src, co_await ctx.recv(tag, src));
+          break;
+        default: {
+          const bool absent = rng.bernoulli(0.3);
+          const std::int32_t t = absent ? kAbsentTag : tag;
+          const Cycles deadline = ctx.now() + 5;
+          const TimedRecv r = co_await ctx.recv_until(deadline, t, src);
+          EXPECT_EQ(r.ok, !absent);
+          if (r.ok) {
+            take(t, src, r.msg);
+          } else {
+            EXPECT_EQ(ctx.now(), deadline);
+            ++timeouts;
+          }
+        }
+      }
+    }
+  });
+  sched.run();
+  EXPECT_EQ(arrived, (P - 1) * kPerSender);
+  EXPECT_TRUE(ref.empty());
+  EXPECT_GT(takes, 600);
+  EXPECT_GT(mid_takes, takes / 3);
+  EXPECT_GT(timeouts, 0);
+}
+
+TEST(Runtime, WarmMailboxDrainAndRefillDoesNotAllocate) {
+  // Each round proc 0 streams kDepth messages that pile up behind proc 1's
+  // wait for the round marker; proc 1 then drains them. The warm-up rounds
+  // bring every queue and pool to its high-water mark (the machine's arrival
+  // ring is first used in round 1); later rounds reach the same depths and
+  // must not touch the heap.
+  constexpr int kDepth = 300;
+  constexpr int kWarmRounds = 2;
+  constexpr int kRounds = 5;
+  Scheduler sched(cfg({6, 2, 4, 2}));
+  std::vector<std::uint64_t> got;
+  got.reserve(kDepth * kRounds);
+  std::size_t warm_at = 0, done_at = 0;
+  sched.set_program([&](Ctx ctx) -> Task {
+    for (int round = 0; round < kRounds; ++round) {
+      if (ctx.proc() == 0) {
+        for (int i = 0; i < kDepth; ++i)
+          co_await ctx.send(1, 1, std::uint64_t(i));
+        co_await ctx.send(1, 2);  // round marker
+        co_await ctx.recv(3, 1);  // drained
+      } else {
+        co_await ctx.recv(2, 0);
+        for (int i = 0; i < kDepth; ++i)
+          got.push_back((co_await ctx.recv(1, 0)).word(0));
+        co_await ctx.send(0, 3);
+        if (round == kWarmRounds - 1) warm_at = test::g_heap_allocs;
+      }
+    }
+    if (ctx.proc() == 1) done_at = test::g_heap_allocs;
+  });
+  sched.run();
+  ASSERT_EQ(got.size(), std::size_t(kDepth * kRounds));
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], i % kDepth);
+  EXPECT_EQ(done_at - warm_at, 0u);
 }
 
 TEST(Runtime, SpawnedTasksInterleaveOnOneCpu) {

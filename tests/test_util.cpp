@@ -1,59 +1,31 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <deque>
 #include <memory>
-#include <new>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "alloc_counter.hpp"
 #include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
 #include "util/inplace_function.hpp"
 #include "util/pool.hpp"
+#include "util/ring_deque.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-// Counting allocator guard: global operator new is replaced with a counting
-// shim so tests can assert that a scope performed zero heap allocations —
-// the "steady-state = zero allocations" invariant of DESIGN.md.
-namespace {
-std::size_t g_heap_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_heap_allocs;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  ++g_heap_allocs;
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace logp::util {
 namespace {
 
-/// Heap allocations performed since construction.
-class AllocationGuard {
- public:
-  AllocationGuard() : start_(g_heap_allocs) {}
-  std::size_t count() const { return g_heap_allocs - start_; }
-
- private:
-  std::size_t start_;
-};
+using test::AllocationGuard;
 
 TEST(Rng, DeterministicAcrossInstances) {
   Xoshiro256StarStar a(42), b(42);
@@ -345,6 +317,88 @@ TEST(Pool, SteadyStateChurnDoesNotAllocate) {
   EXPECT_EQ(guard.count(), 0u);
 }
 
+/// A RingDeque's elements, front to back.
+std::vector<int> contents(const RingDeque<int>& d) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < d.size(); ++i) out.push_back(d[i]);
+  return out;
+}
+
+TEST(RingDeque, EraseAtHeadMiddleAndTail) {
+  RingDeque<int> d;
+  for (int i = 0; i < 6; ++i) d.push_back(i);
+  d.erase(0);  // head: a pop_front
+  EXPECT_EQ(contents(d), (std::vector<int>{1, 2, 3, 4, 5}));
+  d.erase(2);  // middle: the tail shifts down one slot
+  EXPECT_EQ(contents(d), (std::vector<int>{1, 2, 4, 5}));
+  d.erase(3);  // tail: nothing to shift
+  EXPECT_EQ(contents(d), (std::vector<int>{1, 2, 4}));
+  d.push_back(9);
+  d.push_front(0);
+  EXPECT_EQ(contents(d), (std::vector<int>{0, 1, 2, 4, 9}));
+  while (!d.empty()) d.erase(d.size() - 1);
+  d.push_back(7);
+  EXPECT_EQ(contents(d), (std::vector<int>{7}));
+}
+
+TEST(RingDeque, EraseAcrossWrappedHeadReusesFreedSlots) {
+  RingDeque<int> d;
+  for (int i = 0; i < 8; ++i) d.push_back(i);  // fills the first 8 slots
+  for (int i = 0; i < 5; ++i) d.pop_front();   // head now at slot 5
+  for (int i = 8; i < 13; ++i) d.push_back(i);  // 8..12 wrap to slots 0..4
+  EXPECT_EQ(contents(d), (std::vector<int>{5, 6, 7, 8, 9, 10, 11, 12}));
+  d.erase(1);  // the shift crosses the end of the buffer
+  d.erase(5);
+  EXPECT_EQ(contents(d), (std::vector<int>{5, 7, 8, 9, 10, 12}));
+  // The ring is full again after two pushes: erase freed real slots, so
+  // refilling to the old depth must not grow it.
+  AllocationGuard guard;
+  d.push_back(13);
+  d.push_front(4);
+  EXPECT_EQ(guard.count(), 0u);
+  EXPECT_EQ(contents(d), (std::vector<int>{4, 5, 7, 8, 9, 10, 12, 13}));
+}
+
+TEST(RingDeque, EraseAfterGrowKeepsOrder) {
+  RingDeque<int> d;
+  for (int i = 0; i < 8; ++i) d.push_back(i);
+  for (int i = 0; i < 3; ++i) d.pop_front();
+  for (int i = 8; i < 11; ++i) d.push_back(i);  // full and wrapped
+  d.push_back(11);  // grows to 16 slots, unwrapping the contents
+  EXPECT_EQ(contents(d), (std::vector<int>{3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  d.erase(0);
+  d.erase(4);
+  d.erase(d.size() - 1);
+  EXPECT_EQ(contents(d), (std::vector<int>{4, 5, 6, 7, 9, 10}));
+}
+
+TEST(RingDeque, RandomOpsMatchStdDeque) {
+  Xoshiro256StarStar rng(2024);
+  RingDeque<int> d;
+  std::deque<int> ref;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.uniform(4);
+    if (op == 0 || ref.empty()) {
+      d.push_back(step);
+      ref.push_back(step);
+    } else if (op == 1) {
+      d.push_front(step);
+      ref.push_front(step);
+    } else if (op == 2) {
+      d.pop_front();
+      ref.pop_front();
+    } else {
+      const std::size_t i = rng.uniform(ref.size());
+      d.erase(i);
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    ASSERT_EQ(d.size(), ref.size());
+    if (!ref.empty()) {
+      ASSERT_EQ(d.front(), ref.front());
+    }
+  }
+  EXPECT_EQ(contents(d), std::vector<int>(ref.begin(), ref.end()));
+}
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(3);
