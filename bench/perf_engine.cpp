@@ -3,7 +3,9 @@
 // all-to-all — so regressions in the engine are visible, plus sweep
 // throughput (events/sec through exp::SweepRunner at 1, 4 and N workers) so
 // regressions in the parallel harness are too. BM_DeepMailbox times the
-// runtime's receive path with thousands of unclaimed messages queued.
+// runtime's receive path with thousands of unclaimed messages queued;
+// BM_DeepMailboxBySource drains such a mailbox by source, out of arrival
+// order. BM_CapacityStall times the machine's blocked-sender wake path.
 // BM_PacketSim and BM_MachineChurn guard the zero-allocation hot paths of
 // the packet-level network simulator and the machine's message/continuation
 // pools.
@@ -115,6 +117,65 @@ void BM_DeepMailbox(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * k);
 }
 BENCHMARK(BM_DeepMailbox)->Arg(1024)->Arg(8192);
+
+/// The deep mailbox drained by source rather than in arrival order, the
+/// shape of the sort's per-source recv(tag, src) loops: procs 1..4 each
+/// stream k/4 messages at proc 0, whose mailbox holds them interleaved in
+/// arrival order behind the four trailing markers; proc 0 then drains
+/// source 4 first and source 1 last. A mailbox scanned front to back walks
+/// past the other sources' backlog on every take, so items/s falls with k;
+/// one indexed by (tag, src) keeps it flat.
+void BM_DeepMailboxBySource(benchmark::State& state) {
+  const auto k = static_cast<std::int64_t>(state.range(0));
+  constexpr int kSources = 4;
+  for (auto _ : state) {
+    sim::MachineConfig cfg;
+    cfg.params = {6, 2, 4, kSources + 1};
+    runtime::Scheduler sched(cfg);
+    sched.set_program([&](runtime::Ctx ctx) -> runtime::Task {
+      return [](runtime::Ctx c, std::int64_t n) -> runtime::Task {
+        if (c.proc() != 0) {
+          for (std::int64_t i = 0; i < n; ++i) co_await c.send(0, 1);
+          co_await c.send(0, 2);
+        } else {
+          for (int s = 0; s < kSources; ++s) (void)co_await c.recv(2);
+          for (ProcId src = kSources; src >= 1; --src)
+            for (std::int64_t i = 0; i < n; ++i)
+              (void)co_await c.recv(1, src);
+        }
+      }(ctx, k / kSources);
+    });
+    benchmark::DoNotOptimize(sched.run());
+  }
+  state.SetItemsProcessed(state.iterations() * (k / kSources) * kSources);
+}
+BENCHMARK(BM_DeepMailboxBySource)->Arg(1024)->Arg(8192);
+
+/// The capacity-stall wake path: a P = 32 naive all-to-all, where every
+/// processor floods processor 0 first, then 1, ..., so the ceil(L/g) = 5
+/// slots of each destination fill and most sends block until an accept
+/// frees one. Items/s counts messages; stall_cycles confirms the stall.
+void BM_CapacityStall(benchmark::State& state) {
+  constexpr int kP = 32;
+  constexpr std::int64_t kPerPeer = 16;
+  Cycles stall = 0;
+  for (auto _ : state) {
+    sim::MachineConfig cfg;
+    cfg.params = {20, 2, 4, kP};
+    runtime::Scheduler sched(cfg);
+    coll::A2AOptions opts;
+    opts.schedule = coll::A2ASchedule::kNaive;
+    opts.msgs_per_peer = kPerPeer;
+    sched.set_program([&](runtime::Ctx ctx) -> runtime::Task {
+      return coll::all_to_all(ctx, opts);
+    });
+    benchmark::DoNotOptimize(sched.run());
+    stall = sched.machine().total_stats().stall;
+  }
+  state.SetItemsProcessed(state.iterations() * kP * (kP - 1) * kPerPeer);
+  state.counters["stall_cycles"] = static_cast<double>(stall);
+}
+BENCHMARK(BM_CapacityStall);
 
 /// Packet-level network simulator throughput (delivered packets/sec of wall
 /// time). Arg = injection rate in units of 1e-4 packets/node/cycle; 200 is

@@ -30,12 +30,31 @@ std::complex<double> twiddle(std::int64_t j, std::int64_t m) {
   return {std::cos(theta), std::sin(theta)};
 }
 
-void dif_butterfly(std::complex<double>& u, std::complex<double>& v,
-                   std::int64_t j, std::int64_t m) {
-  const auto a = u;
-  const auto b = v;
-  u = a + b;
-  v = (a - b) * twiddle(j, m);
+/// One DIF stage over a[0, len): the butterfly on (base + j, base + j +
+/// half) for every block base and every j < half uses twiddle(j * stride +
+/// offset, span). The twiddles depend on j alone, so they are computed once
+/// per j, a stack chunk at a time, and reused across every block. The
+/// butterflies of one stage touch disjoint pairs, so the result is
+/// bit-identical to evaluating twiddle() inside each butterfly.
+void dif_stage(std::complex<double>* a, std::int64_t len, std::int64_t half,
+               std::int64_t stride, std::int64_t offset, std::int64_t span) {
+  constexpr std::int64_t kChunk = 256;
+  std::complex<double> w[kChunk];
+  for (std::int64_t j0 = 0; j0 < half; j0 += kChunk) {
+    const std::int64_t count = std::min(kChunk, half - j0);
+    for (std::int64_t k = 0; k < count; ++k)
+      w[k] = twiddle((j0 + k) * stride + offset, span);
+    for (std::int64_t base = j0; base < len; base += 2 * half) {
+      std::complex<double>* u = a + base;
+      std::complex<double>* v = u + half;
+      for (std::int64_t k = 0; k < count; ++k) {
+        const auto x = u[k];
+        const auto y = v[k];
+        u[k] = x + y;
+        v[k] = (x - y) * w[k];
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -43,15 +62,8 @@ void dif_butterfly(std::complex<double>& u, std::complex<double>& v,
 void fft_dif(std::vector<std::complex<double>>& a) {
   const auto n = static_cast<std::int64_t>(a.size());
   LOGP_CHECK(n >= 1 && (n & (n - 1)) == 0);
-  for (std::int64_t half = n / 2; half >= 1; half /= 2) {
-    for (std::int64_t base = 0; base < n; base += 2 * half) {
-      for (std::int64_t j = 0; j < half; ++j) {
-        dif_butterfly(a[static_cast<std::size_t>(base + j)],
-                      a[static_cast<std::size_t>(base + j + half)], j,
-                      2 * half);
-      }
-    }
-  }
+  for (std::int64_t half = n / 2; half >= 1; half /= 2)
+    dif_stage(a.data(), n, half, 1, 0, 2 * half);
 }
 
 void bit_reverse_permute(std::vector<std::complex<double>>& a) {
@@ -91,15 +103,8 @@ struct Shared {
 void phase1_host_compute(Shared& sh, ProcId p) {
   auto& a = sh.cyclic[static_cast<std::size_t>(p)];
   const std::int64_t P = sh.params.P;
-  for (std::int64_t half = sh.rows / 2; half >= 1; half /= 2) {
-    for (std::int64_t base = 0; base < sh.rows; base += 2 * half) {
-      for (std::int64_t j = 0; j < half; ++j) {
-        dif_butterfly(a[static_cast<std::size_t>(base + j)],
-                      a[static_cast<std::size_t>(base + j + half)],
-                      (j % half) * P + p, 2 * half * P);
-      }
-    }
-  }
+  for (std::int64_t half = sh.rows / 2; half >= 1; half /= 2)
+    dif_stage(a.data(), sh.rows, half, P, p, 2 * half * P);
 }
 
 // Phase III on processor p: DIF stages for bits lg_p-1 .. 0 over the blocked
@@ -107,15 +112,8 @@ void phase1_host_compute(Shared& sh, ProcId p) {
 void phase3_host_compute(Shared& sh, ProcId p) {
   auto& a = sh.blocked[static_cast<std::size_t>(p)];
   const std::int64_t first_half = std::int64_t{1} << (sh.lg_p - 1);
-  for (std::int64_t half = first_half; half >= 1; half /= 2) {
-    for (std::int64_t base = 0; base < sh.rows; base += 2 * half) {
-      for (std::int64_t j = 0; j < half; ++j) {
-        dif_butterfly(a[static_cast<std::size_t>(base + j)],
-                      a[static_cast<std::size_t>(base + j + half)], j,
-                      2 * half);
-      }
-    }
-  }
+  for (std::int64_t half = first_half; half >= 1; half /= 2)
+    dif_stage(a.data(), sh.rows, half, 1, 0, 2 * half);
 }
 
 Task fft_program(Ctx ctx, Shared& sh) {

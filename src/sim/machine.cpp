@@ -59,6 +59,7 @@ Machine::Machine(MachineConfig config, Host& host)
   LOGP_CHECK(cfg_.latency_min <= cfg_.params.L);
   LOGP_CHECK(cfg_.compute_jitter >= 0.0 && cfg_.compute_jitter < 1.0);
   procs_.resize(static_cast<std::size_t>(cfg_.params.P));
+  blocked_at_.resize(procs_.size());
   events_.reserve(64 + 4 * static_cast<std::size_t>(cfg_.params.P));
 #ifndef LOGP_OBS_DISABLED
   if (cfg_.metrics != nullptr) {
@@ -220,7 +221,7 @@ void Machine::try_inject(ProcId p, Cycles t) {
     proc.state = CpuState::kSendStalled;
     proc.pending_injection = true;
     proc.stall_begin = t;
-    blocked_senders_.push_back(p);
+    block_sender(p);
     maybe_accept_while_stalled(p);
     return;
   }
@@ -241,6 +242,7 @@ void Machine::maybe_accept_while_stalled(ProcId p) {
                      static_cast<double>(now_ - proc.stall_begin));
   }
   LOGP_OBS_COUNT(obs_.drained_accepts, 1);
+  proc.stall_stamp = 0;  // back in the queue, with a new stamp, if it re-blocks
   proc.op_requested = now_;
   if (now_ < proc.recv_port_free) {
     proc.state = CpuState::kAcceptGapWait;
@@ -259,15 +261,34 @@ void Machine::try_retry_injection(ProcId p) {
   if (proc.out_inflight < cap && dst.in_inflight < cap) {
     inject(p, now_);
   } else {
-    blocked_senders_.push_back(p);
+    block_sender(p);
     maybe_accept_while_stalled(p);
   }
+}
+
+void Machine::block_sender(ProcId p) {
+  auto& proc = procs_[static_cast<std::size_t>(p)];
+  proc.stall_stamp = ++stall_seq_;
+  auto& q = blocked_at_[static_cast<std::size_t>(msgs_[proc.current_msg].dst)];
+  // Stale entries leave from the head as wakes pass them; one stuck behind
+  // a live entry can linger, so sweep them once the queue holds as many
+  // entries as there are processors. Rotating keeps stamp order.
+  if (q.size() >= procs_.size()) {
+    for (std::size_t n = q.size(); n > 0; --n) {
+      const Blocked b = q.front();
+      q.pop_front();
+      if (procs_[static_cast<std::size_t>(b.proc)].stall_stamp == b.stamp)
+        q.push_back(b);
+    }
+  }
+  q.push_back({p, proc.stall_stamp});
 }
 
 void Machine::inject(ProcId p, Cycles t) {
   auto& proc = procs_[static_cast<std::size_t>(p)];
   [[maybe_unused]] const bool was_stalled = proc.pending_injection;
   proc.pending_injection = false;
+  proc.stall_stamp = 0;
   const std::uint32_t idx = proc.current_msg;
   const Message& m = msgs_[idx];
   auto& dst = procs_[static_cast<std::size_t>(m.dst)];
@@ -375,7 +396,7 @@ void Machine::accept_begin(ProcId p, Cycles t) {
                    m.src);
   LOGP_CP(on_accept(p, idx, t, cfg_.params.o, cfg_.params.g));
   push_event(t + cfg_.params.o, EvKind::kAcceptDone, p, idx);
-  wake_blocked_senders();
+  wake_blocked_senders(m.src, p);
 }
 
 std::uint32_t Machine::take_arrival(ProcId p) {
@@ -406,32 +427,80 @@ std::uint32_t Machine::take_arrival(ProcId p) {
   return idx;
 }
 
-void Machine::wake_blocked_senders() {
-  if (blocked_senders_.empty()) return;
+// Wake order. The reference is one scan, oldest stall first, over every
+// blocked sender, injecting each that fits; an injection's Host callback may
+// accept a message, and the scan that accept starts covers only the
+// senders older than the one being injected (the rest are still ahead of
+// the outer scan). The queues reproduce that scan without visiting senders
+// that cannot fit:
+//  * Outside a wake no blocked sender fits (every free runs a wake, and
+//    each wake tries every sender it could have unblocked). A free of
+//    src -> dst gives back only src's out-slot and dst's in-slot, so the
+//    only senders that can fit are src itself and those queued at dst.
+//  * Frees made during a wake, at any depth, are appended to freed_; each
+//    wake picks its next sender among the candidates of every free since it
+//    began, the one with the smallest stamp above its cursor and below its
+//    limit that fits. Senders that do not fit are skipped, which the scan
+//    would do too, and injections only take slots, so "first that fits now"
+//    is the scan's next injection.
+//  * Stamps grow with every block; no sender blocks during a wake, so stamp
+//    order is the scan's list order.
+void Machine::wake_blocked_senders(ProcId src, ProcId dst) {
+  if (procs_[static_cast<std::size_t>(src)].stall_stamp == 0 &&
+      blocked_at_[static_cast<std::size_t>(dst)].empty())
+    return;  // nothing this free could unblock, now or later in this wake
   const int cap = static_cast<int>(cfg_.params.capacity());
-  // FIFO by stall time; re-check capacity per candidate since each wake
-  // consumes slots. Injecting runs Host callbacks, which can stall new
-  // senders (appending to blocked_senders_) or recurse into this function —
-  // so detach the current list first and re-append survivors.
-  std::vector<ProcId> pending;
-  pending.swap(blocked_senders_);
-  for (const ProcId p : pending) {
-    auto& proc = procs_[static_cast<std::size_t>(p)];
-    if (proc.state != CpuState::kSendStalled) continue;  // woken by recursion
-    const ProcId dst_id = msgs_[proc.current_msg].dst;
-    const auto& dst = procs_[static_cast<std::size_t>(dst_id)];
-    if (proc.out_inflight < cap && dst.in_inflight < cap) {
-      const Cycles stalled = now_ - proc.stall_begin;
-      proc.stats.stall += stalled;
-      recorder_.record(p, proc.stall_begin, now_, trace::Activity::kStall,
-                       dst_id);
-      LOGP_OBS_COUNT(obs_.stall_wakeups, 1);
-      LOGP_OBS_OBSERVE(obs_.stall_cycles, static_cast<double>(stalled));
-      inject(p, now_);
-    } else {
-      blocked_senders_.push_back(p);
+  const std::size_t first = freed_.size();
+  freed_.push_back({src, dst});
+  const std::uint64_t limit = wake_limit_;
+  std::uint64_t cursor = 0;
+  for (;;) {
+    ProcId next = -1;
+    std::uint64_t next_stamp = limit;
+    for (std::size_t i = first; i < freed_.size(); ++i) {
+      const Freed f = freed_[i];
+      // The freed source's own blocked send, whatever its destination.
+      const Proc& sp = procs_[static_cast<std::size_t>(f.src)];
+      if (sp.stall_stamp > cursor && sp.stall_stamp < next_stamp &&
+          sp.out_inflight < cap &&
+          procs_[static_cast<std::size_t>(msgs_[sp.current_msg].dst)]
+                  .in_inflight < cap) {
+        next = f.src;
+        next_stamp = sp.stall_stamp;
+      }
+      // Senders queued at the freed destination, oldest first.
+      if (procs_[static_cast<std::size_t>(f.dst)].in_inflight >= cap) continue;
+      auto& q = blocked_at_[static_cast<std::size_t>(f.dst)];
+      while (!q.empty() &&
+             procs_[static_cast<std::size_t>(q.front().proc)].stall_stamp !=
+                 q.front().stamp)
+        q.pop_front();
+      for (std::size_t k = 0; k < q.size() && q[k].stamp < next_stamp; ++k) {
+        const Blocked b = q[k];
+        const Proc& bp = procs_[static_cast<std::size_t>(b.proc)];
+        if (b.stamp > cursor && bp.stall_stamp == b.stamp &&
+            bp.out_inflight < cap) {
+          next = b.proc;
+          next_stamp = b.stamp;
+          break;
+        }
+      }
     }
+    if (next < 0) break;
+    cursor = next_stamp;
+    wake_limit_ = cursor;
+    auto& proc = procs_[static_cast<std::size_t>(next)];
+    LOGP_CHECK(proc.state == CpuState::kSendStalled);
+    const Cycles stalled = now_ - proc.stall_begin;
+    proc.stats.stall += stalled;
+    recorder_.record(next, proc.stall_begin, now_, trace::Activity::kStall,
+                     msgs_[proc.current_msg].dst);
+    LOGP_OBS_COUNT(obs_.stall_wakeups, 1);
+    LOGP_OBS_OBSERVE(obs_.stall_cycles, static_cast<double>(stalled));
+    inject(next, now_);
   }
+  wake_limit_ = limit;
+  if (first == 0) freed_.clear();
 }
 
 void Machine::schedule_call(Cycles t, Call fn) {
@@ -496,15 +565,15 @@ void Machine::dispatch(const Event& ev) {
       // message survives or not. Nobody is notified; detecting the loss is
       // the reliable-delivery layer's job (runtime/reliable.hpp).
       auto& proc = procs_[static_cast<std::size_t>(ev.proc)];
-      const Message& m = msgs_[ev.payload];
-      --procs_[static_cast<std::size_t>(m.src)].out_inflight;
+      const ProcId src = msgs_[ev.payload].src;
+      --procs_[static_cast<std::size_t>(src)].out_inflight;
       --proc.in_inflight;
-      LOGP_CHECK(procs_[static_cast<std::size_t>(m.src)].out_inflight >= 0);
+      LOGP_CHECK(procs_[static_cast<std::size_t>(src)].out_inflight >= 0);
       LOGP_CHECK(proc.in_inflight >= 0);
       ++msgs_dropped_;
       LOGP_CP(on_drop(ev.payload));
       msgs_.release(ev.payload);
-      wake_blocked_senders();
+      wake_blocked_senders(src, ev.proc);
       break;
     }
     case EvKind::kAcceptStart: {

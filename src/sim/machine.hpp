@@ -255,6 +255,10 @@ class Machine {
     int in_inflight = 0;
     Cycles op_requested = 0;    ///< when the current op was requested
     Cycles stall_begin = 0;     ///< when a capacity stall started
+    /// Stamp of this processor's entry in blocked_at_, 0 when it has none:
+    /// set when a send blocks on capacity, cleared when the stall ends
+    /// (injection, or a drain of its own arrivals).
+    std::uint64_t stall_stamp = 0;
     bool pending_injection = false;  ///< stalled send awaiting retry
     std::uint64_t dma_words = 0;     ///< outgoing DMA stream length
     Cycles dma_gap = 0;              ///< cycles per streamed word
@@ -286,7 +290,10 @@ class Machine {
   void accept_begin(ProcId p, Cycles t);
   void maybe_accept_while_stalled(ProcId p);
   void try_retry_injection(ProcId p);
-  void wake_blocked_senders();
+  void block_sender(ProcId p);
+  /// A message src -> dst left the network: wake the blocked senders that
+  /// now fit, in the order one scan over every blocked sender would.
+  void wake_blocked_senders(ProcId src, ProcId dst);
   Cycles sample_latency();
   Cycles apply_jitter(Cycles dur);
 
@@ -304,7 +311,25 @@ class Machine {
   util::Pool<Message> msgs_;
   util::Pool<Call> calls_;
 
-  std::vector<ProcId> blocked_senders_;
+  /// Senders blocked on capacity, queued at their message's destination in
+  /// stamp order. A processor has at most one blocked send; entries whose
+  /// stamp no longer matches Proc::stall_stamp are stale and skipped.
+  struct Blocked {
+    ProcId proc;
+    std::uint64_t stamp;
+  };
+  std::vector<util::RingDeque<Blocked>> blocked_at_;
+  std::uint64_t stall_seq_ = 0;
+  /// Network slots freed since the outermost active wake began, as
+  /// (src, dst). A wake only looks at senders these frees can have unblocked.
+  struct Freed {
+    ProcId src;
+    ProcId dst;
+  };
+  std::vector<Freed> freed_;
+  /// Stamp of the sender the innermost active wake is injecting; a wake
+  /// nested in that injection considers only older entries.
+  std::uint64_t wake_limit_ = ~std::uint64_t{0};
 
   std::int64_t total_messages_ = 0;
   std::uint64_t msg_seq_ = 0;      ///< injection sequence, fault-plan key

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 
 #include "algo/fft.hpp"
@@ -41,6 +42,41 @@ TEST(SerialFft, MatchesNaiveDft) {
   bit_reverse_permute(got);
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_LT(std::abs(got[i] - expect[i]), 1e-9) << i;
+}
+
+// The loop fft_dif had before its twiddles were hoisted out of the block
+// loop: one cos/sin pair per butterfly, evaluated exactly as twiddle() does.
+void fft_dif_per_butterfly(std::vector<std::complex<double>>& a) {
+  const auto n = static_cast<std::int64_t>(a.size());
+  for (std::int64_t half = n / 2; half >= 1; half /= 2) {
+    for (std::int64_t base = 0; base < n; base += 2 * half) {
+      for (std::int64_t j = 0; j < half; ++j) {
+        const double theta = -2.0 * std::numbers::pi *
+                             static_cast<double>(j) /
+                             static_cast<double>(2 * half);
+        auto& u = a[static_cast<std::size_t>(base + j)];
+        auto& v = a[static_cast<std::size_t>(base + j + half)];
+        const auto x = u;
+        const auto y = v;
+        u = x + y;
+        v = (x - y) * std::complex<double>{std::cos(theta), std::sin(theta)};
+      }
+    }
+  }
+}
+
+TEST(SerialFft, HoistedTwiddlesAreBitIdenticalToPerButterflyLoop) {
+  for (int lg = 1; lg <= 16; ++lg) {
+    util::Xoshiro256StarStar rng(static_cast<std::uint64_t>(100 + lg));
+    std::vector<std::complex<double>> a(std::size_t{1} << lg);
+    for (auto& v : a)
+      v = {2.0 * rng.uniform01() - 1.0, 2.0 * rng.uniform01() - 1.0};
+    auto want = a;
+    fft_dif_per_butterfly(want);
+    fft_dif(a);
+    ASSERT_EQ(std::memcmp(a.data(), want.data(), a.size() * sizeof(a[0])), 0)
+        << "n = 2^" << lg;
+  }
 }
 
 TEST(SerialFft, DeltaGivesAllOnes) {
@@ -83,6 +119,25 @@ TEST(HybridFft, AllSchedulesComputeTheSameAnswer) {
     cfg.n = 256;
     cfg.schedule = s;
     EXPECT_TRUE(run_hybrid_fft(prm, cfg).verified);
+  }
+}
+
+// P = 32 with carried data: phase I's strided twiddles (j*P + p over span
+// 2*half*P) and phase III's local ones must reproduce fft_dif bit for bit
+// under every schedule and with the remap merged into phase I
+// (run_hybrid_fft throws on the first differing point).
+TEST(HybridFft, CarriedDataMatchesSerialAtP32) {
+  const Params prm = Cm5::params(32);
+  for (const auto s : {coll::A2ASchedule::kNaive, coll::A2ASchedule::kStaggered,
+                       coll::A2ASchedule::kSynchronized}) {
+    for (const bool overlap : {false, true}) {
+      FftConfig cfg;
+      cfg.n = 1 << 12;
+      cfg.schedule = s;
+      cfg.overlap_remap = overlap;
+      EXPECT_TRUE(run_hybrid_fft(prm, cfg).verified)
+          << "schedule " << static_cast<int>(s) << " overlap " << overlap;
+    }
   }
 }
 

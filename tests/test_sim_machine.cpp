@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "alloc_counter.hpp"
+#include "fault/fault.hpp"
 #include "sim/machine.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace logp::sim {
 namespace {
@@ -445,6 +450,310 @@ TEST(Machine, EqualTimestampDeliveriesAcceptedFifo) {
   };
   m.run();
   EXPECT_EQ(accepted_from, (std::vector<ProcId>{1, 2}));
+}
+
+// ---- Capacity-stall wake order --------------------------------------------
+//
+// Flood programs keep many senders blocked on the ceil(L/g) bound. The host
+// receives before it sends, so the on_send_done of a woken sender often
+// starts a reception at once and re-enters the wake path from inside a wake.
+// Each sender sends per_dest messages to every destination: "naive" floods
+// the lowest destination first (the Section 4.1 naive remap), "staggered"
+// starts past its own id, and "random" draws each destination. Without
+// drain_while_stalled the upper half only receives: a stalled sender never
+// services its arrivals, so if every processor flooded, all would soon be
+// stalled on one another.
+
+struct FloodCase {
+  std::uint64_t seed;
+  int P;
+  bool drain;  ///< MachineConfig::drain_while_stalled
+  bool drops;  ///< attach a FaultPlan with msg_drop_rate > 0
+};
+
+struct FloodOutcome {
+  Cycles finish = 0;
+  std::vector<Cycles> stall;
+  std::vector<Cycles> gap_wait;
+  std::uint64_t digest = 0;  ///< trace intervals + per-processor receive order
+};
+
+FloodOutcome run_flood(const FloodCase& fc) {
+  util::Xoshiro256StarStar rng(fc.seed);
+  Params prm;
+  prm.P = fc.P;
+  prm.g = static_cast<Cycles>(1 + rng.uniform(4));
+  prm.L = prm.g * static_cast<Cycles>(1 + rng.uniform(4)) +
+          static_cast<Cycles>(rng.uniform(static_cast<std::uint64_t>(prm.g)));
+  prm.o = static_cast<Cycles>(rng.uniform(3));
+  MachineConfig c = cfg(prm);
+  c.seed = fc.seed;
+  c.record_trace = true;
+  c.drain_while_stalled = fc.drain;
+  if (rng.uniform(2) == 0)
+    c.latency_min = static_cast<Cycles>(
+        rng.uniform(static_cast<std::uint64_t>(prm.L) + 1));
+  fault::FaultPlan plan;
+  plan.seed = fc.seed * 31 + 7;
+  plan.msg_drop_rate = 0.15;
+  if (fc.drops) c.faults = &plan;
+  const int per_dest = static_cast<int>(2 + rng.uniform(6));
+  const int pattern = static_cast<int>(rng.uniform(3));
+  const int senders = fc.drain ? fc.P : fc.P / 2;  // [0, senders) send
+  const int total = per_dest * (fc.P - 1);
+  auto dest_of = [&](ProcId p, int k) -> ProcId {
+    const int step =
+        pattern == 2
+            ? static_cast<int>(rng.uniform(static_cast<std::uint64_t>(fc.P - 1)))
+            : (pattern == 0 ? k / per_dest : (p + k / per_dest) % (fc.P - 1));
+    return step >= p ? step + 1 : step;  // every processor but p
+  };
+
+  ScriptHost host;
+  Machine m(c, host);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  auto mix = [&digest](std::int64_t v) {
+    digest = (digest ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+  };
+  std::vector<int> sent(static_cast<std::size_t>(fc.P), 0);
+  auto step = [&](ProcId p) {
+    if (!m.cpu_idle(p)) return;
+    if (m.arrivals_pending(p) > 0) {
+      m.start_accept(p);
+      return;
+    }
+    int& k = sent[static_cast<std::size_t>(p)];
+    if (p < senders && k < total) {
+      Message msg;
+      msg.dst = dest_of(p, k);
+      msg.tag = k++;
+      m.start_send(p, msg);
+    }
+  };
+  host.startup = step;
+  host.send_done = step;
+  host.arrived = step;
+  host.accept_done = [&](ProcId p, const Message& msg) {
+    mix(p);
+    mix(msg.src);
+    mix(msg.tag);
+    step(p);
+  };
+
+  FloodOutcome out;
+  out.finish = m.run();
+  for (const auto& iv : m.recorder().intervals()) {
+    mix(iv.proc);
+    mix(iv.begin);
+    mix(iv.end);
+    mix(static_cast<std::int64_t>(iv.what));
+    mix(iv.peer);
+  }
+  mix(m.total_messages());
+  mix(m.messages_dropped());
+  for (ProcId p = 0; p < fc.P; ++p) {
+    out.stall.push_back(m.stats(p).stall);
+    out.gap_wait.push_back(m.stats(p).gap_wait);
+  }
+  out.digest = digest;
+  return out;
+}
+
+struct PinnedFlood {
+  FloodCase c;
+  Cycles finish;
+  std::vector<Cycles> stall;
+  std::vector<Cycles> gap_wait;
+  std::uint64_t digest;
+};
+
+// Captured from the machine whose wake path rescanned one global list of
+// blocked senders on every accept and drop. The per-destination FIFOs must
+// wake the same senders in the same order, so every figure stays put.
+const PinnedFlood kPinnedFloods[] = {
+    {{1000, 2, true, false},
+     29,
+     {0, 0},
+     {7, 15},
+     0xb7c55528052f4d7aULL},
+    {{1001, 7, false, false},
+     73,
+     {0, 0, 2, 0, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0},
+     0xd5daa45007d9d486ULL},
+    {{1002, 12, true, true},
+     156,
+     {68, 76, 104, 68, 88, 72, 84, 84, 80, 92, 60, 76},
+     {52, 64, 44, 28, 44, 52, 56, 52, 52, 52, 56, 56},
+     0x03b0b4866c0ec6bcULL},
+    {{1003, 3, false, true},
+     28,
+     {0, 0, 0},
+     {12, 0, 0},
+     0xce49971a23fdd9e2ULL},
+    {{1004, 8, true, false},
+     64,
+     {17, 5, 6, 16, 21, 8, 15, 13},
+     {32, 49, 53, 41, 37, 52, 38, 38},
+     0x632bc3c7aabcb08aULL},
+    {{1005, 13, false, false},
+     532,
+     {55, 219, 247, 315, 321, 345, 0, 0, 0, 0, 0, 0, 0},
+     {182, 128, 113, 63, 81, 69, 64, 61, 65, 66, 58, 64, 61},
+     0x902f5210cd13f73dULL},
+    {{1006, 4, true, true},
+     39,
+     {0, 2, 5, 12},
+     {24, 15, 23, 20},
+     0xa9bc5e8d7ac1a0eeULL},
+    {{1007, 9, false, true},
+     6,
+     {0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {2, 2, 0, 0, 0, 0, 0, 0, 0},
+     0xf39c53dcfd93e6e6ULL},
+    {{1008, 14, true, false},
+     346,
+     {6, 0, 6, 0, 0, 0, 0, 4, 2, 4, 4, 0, 2, 2},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     0x6aff8eb80ddd3269ULL},
+    {{1009, 5, false, false},
+     11,
+     {0, 0, 0, 0, 0},
+     {3, 3, 0, 0, 0},
+     0xb4ce2ea5ea7ae931ULL},
+    {{1010, 10, true, true},
+     208,
+     {26, 23, 32, 51, 15, 15, 33, 31, 45, 55},
+     {137, 153, 168, 133, 149, 166, 142, 120, 151, 141},
+     0x01016ce182afc6c7ULL},
+    {{1011, 15, false, true},
+     19,
+     {4, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     {2, 3, 3, 3, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+     0xa23188412fad0803ULL},
+    {{1012, 6, true, false},
+     147,
+     {0, 0, 0, 1, 0, 0},
+     {30, 33, 22, 32, 22, 24},
+     0x7ba86e257166fbd0ULL},
+    {{1013, 11, false, false},
+     158,
+     {69, 69, 70, 61, 14, 0, 0, 0, 0, 0, 0},
+     {36, 42, 32, 49, 82, 7, 6, 11, 5, 4, 4},
+     0xfe7b0679de5bdee7ULL},
+    {{1014, 16, true, true},
+     499,
+     {54, 59, 88, 50, 7, 45, 55, 62, 77, 69, 129, 8, 63, 54, 69, 66},
+     {234, 250, 249, 209, 298, 237, 248, 224, 204, 234, 210, 260, 223, 258, 263, 249},
+     0x2a45178f93cfcb8cULL},
+    {{1015, 7, false, true},
+     66,
+     {8, 10, 6, 0, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0},
+     0x8cb0a2119b09359bULL},
+    {{1016, 12, true, false},
+     420,
+     {66, 64, 20, 22, 6, 38, 26, 34, 36, 40, 38, 66},
+     {118, 90, 112, 144, 122, 98, 112, 106, 118, 108, 114, 80},
+     0xdef802351b49d53bULL},
+    {{1017, 2, false, false},
+     9,
+     {0, 0},
+     {0, 0},
+     0x798d1330e38808e3ULL},
+    {{1018, 8, true, true},
+     148,
+     {0, 0, 0, 0, 0, 0, 0, 0},
+     {145, 145, 145, 142, 145, 145, 145, 145},
+     0x9ab04d52223b25d2ULL},
+    {{1019, 13, false, true},
+     248,
+     {40, 100, 154, 160, 178, 188, 0, 0, 0, 0, 0, 0, 0},
+     {88, 42, 12, 10, 10, 0, 0, 0, 0, 0, 0, 0, 0},
+     0xbc7a7e5839a7f2b4ULL},
+    {{1020, 3, true, false},
+     45,
+     {3, 8, 11},
+     {8, 8, 3},
+     0x0ff2071c5f133505ULL},
+    {{1021, 9, false, false},
+     189,
+     {18, 7, 6, 8, 0, 0, 0, 0, 0},
+     {56, 61, 61, 60, 9, 18, 18, 15, 2},
+     0x388f38a2752f4714ULL},
+    {{1022, 14, true, true},
+     218,
+     {0, 2, 0, 0, 2, 0, 0, 0, 0, 4, 0, 0, 2, 2},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+     0xa7016ce15f2b80a3ULL},
+    {{1023, 4, false, true},
+     38,
+     {2, 0, 0, 0},
+     {12, 12, 3, 2},
+     0x5a167245c10e8303ULL}
+};
+
+TEST(Machine, CapacityStallWakeOrderIsPinned) {
+  std::int64_t stalled_runs = 0;
+  for (const auto& pin : kPinnedFloods) {
+    const FloodOutcome got = run_flood(pin.c);
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << pin.c.seed << " P " << pin.c.P << " drain "
+                 << pin.c.drain << " drops " << pin.c.drops);
+    EXPECT_EQ(got.finish, pin.finish);
+    EXPECT_EQ(got.stall, pin.stall);
+    EXPECT_EQ(got.gap_wait, pin.gap_wait);
+    EXPECT_EQ(got.digest, pin.digest);
+    Cycles stall = 0;
+    for (const Cycles s : got.stall) stall += s;
+    stalled_runs += stall > 0;
+  }
+  // The table is only a net if the stall path actually runs.
+  EXPECT_GE(stalled_runs, 12);
+}
+
+// The stall path of a warm machine allocates nothing: blocked senders are
+// queued in storage that is reused across stalls and runs.
+TEST(Machine, WarmCapacityStallRunDoesNotAllocate) {
+  constexpr int kP = 16;
+  constexpr int kPerDest = 4;
+  ScriptHost host;
+  Machine m(cfg({24, 2, 4, kP}), host);  // capacity 6
+  int sent[kP] = {};
+  // Naive flood: every processor sends to 0 first, then 1, ... .
+  auto step = [&](ProcId p) {
+    if (!m.cpu_idle(p)) return;
+    if (m.arrivals_pending(p) > 0) {
+      m.start_accept(p);
+      return;
+    }
+    int& k = sent[p];
+    if (k < kPerDest * (kP - 1)) {
+      const int dst = k++ / kPerDest;
+      Message msg;
+      msg.dst = dst < p ? dst : dst + 1;
+      m.start_send(p, msg);
+    }
+  };
+  host.startup = step;
+  host.send_done = step;
+  host.arrived = step;
+  host.accept_done = [&](ProcId p, const Message&) { step(p); };
+  auto flood_again = [&] {
+    for (int& k : sent) k = 0;
+    m.schedule_call(m.now(), [&step] {
+      for (ProcId p = 0; p < kP; ++p) step(p);
+    });
+  };
+  m.run();  // cold: pools, heap and queues grow to their high-water marks
+  flood_again();
+  m.run();
+  const Cycles stall_before = m.total_stats().stall;
+  flood_again();
+  test::AllocationGuard guard;
+  m.run();
+  EXPECT_EQ(guard.count(), 0u);
+  EXPECT_GT(m.total_stats().stall, stall_before) << "the run never stalled";
 }
 
 }  // namespace
