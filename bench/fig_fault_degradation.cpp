@@ -10,23 +10,13 @@
 // (drop rate x offered load) grid, every point byte-identical at any
 // --threads value because fault decisions are pure hashes of
 // (plan seed, injection id, attempt).
-//
-// The grid doubles as the checkpoint/resume exemplar: with
-// --checkpoint-dir D every completed point is published atomically
-// (tmp + rename) as a small JSON manifest, `--crash-after N` aborts with
-// exit code 3 after N freshly computed points (deterministic with
-// --threads 1), and --resume re-runs only the missing points. The final
-// stdout is byte-identical to an uninterrupted run — CI pins this by
-// killing a sweep mid-flight and diffing.
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "exp/checkpoint.hpp"
 #include "exp/sweep.hpp"
 #include "fault/fault.hpp"
 #include "net/packet_sim.hpp"
@@ -38,84 +28,13 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-using logp::exp::KvFields;
-using logp::net::PacketSimResult;
-
-std::string encode_result(const PacketSimResult& r) {
-  KvFields f;
-  f.emplace_back("lat_n", logp::exp::kv_int(r.latency.count()));
-  f.emplace_back("lat_mean", logp::exp::kv_double(r.latency.mean()));
-  f.emplace_back("lat_m2", logp::exp::kv_double(r.latency.m2()));
-  f.emplace_back("lat_sum", logp::exp::kv_double(r.latency.sum()));
-  f.emplace_back("lat_min", logp::exp::kv_double(r.latency.min()));
-  f.emplace_back("lat_max", logp::exp::kv_double(r.latency.max()));
-  f.emplace_back("p95", logp::exp::kv_double(r.p95_latency));
-  f.emplace_back("injected", logp::exp::kv_int(r.injected));
-  f.emplace_back("delivered", logp::exp::kv_int(r.delivered));
-  f.emplace_back("offered", logp::exp::kv_double(r.offered_load));
-  f.emplace_back("throughput", logp::exp::kv_double(r.throughput));
-  f.emplace_back("saturated", logp::exp::kv_int(r.saturated ? 1 : 0));
-  f.emplace_back("truncated", logp::exp::kv_int(r.truncated ? 1 : 0));
-  f.emplace_back("undrained", logp::exp::kv_int(r.undrained));
-  f.emplace_back("dropped", logp::exp::kv_int(r.dropped));
-  f.emplace_back("corrupted", logp::exp::kv_int(r.corrupted));
-  f.emplace_back("retransmitted", logp::exp::kv_int(r.retransmitted));
-  f.emplace_back("lost", logp::exp::kv_int(r.lost));
-  f.emplace_back("peak_in_flight", logp::exp::kv_int(r.peak_in_flight));
-  f.emplace_back("pool_slots", logp::exp::kv_int(r.pool_slots));
-  return logp::exp::kv_encode(f);
-}
-
-PacketSimResult decode_result(const std::string& text) {
-  namespace x = logp::exp;
-  const KvFields f = x::kv_decode(text);
-  PacketSimResult r;
-  r.latency = logp::util::RunningStat::from_raw(
-      x::kv_parse_int(x::kv_get(f, "lat_n")),
-      x::kv_parse_double(x::kv_get(f, "lat_mean")),
-      x::kv_parse_double(x::kv_get(f, "lat_m2")),
-      x::kv_parse_double(x::kv_get(f, "lat_sum")),
-      x::kv_parse_double(x::kv_get(f, "lat_min")),
-      x::kv_parse_double(x::kv_get(f, "lat_max")));
-  r.p95_latency = x::kv_parse_double(x::kv_get(f, "p95"));
-  r.injected = x::kv_parse_int(x::kv_get(f, "injected"));
-  r.delivered = x::kv_parse_int(x::kv_get(f, "delivered"));
-  r.offered_load = x::kv_parse_double(x::kv_get(f, "offered"));
-  r.throughput = x::kv_parse_double(x::kv_get(f, "throughput"));
-  r.saturated = x::kv_parse_int(x::kv_get(f, "saturated")) != 0;
-  r.truncated = x::kv_parse_int(x::kv_get(f, "truncated")) != 0;
-  r.undrained = x::kv_parse_int(x::kv_get(f, "undrained"));
-  r.dropped = x::kv_parse_int(x::kv_get(f, "dropped"));
-  r.corrupted = x::kv_parse_int(x::kv_get(f, "corrupted"));
-  r.retransmitted = x::kv_parse_int(x::kv_get(f, "retransmitted"));
-  r.lost = x::kv_parse_int(x::kv_get(f, "lost"));
-  r.peak_in_flight = x::kv_parse_int(x::kv_get(f, "peak_in_flight"));
-  r.pool_slots = x::kv_parse_int(x::kv_get(f, "pool_slots"));
-  return r;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace logp;
   int threads = 1;
-  std::string ckpt_dir;
-  bool resume = false;
-  int crash_after = 0;
   // Packet-level obs sinks (exemplar re-run after the grid; see below).
   obs::ObsFlags obs_flags;
-  if (const int rc = obs::parse_cli(
-          argc, argv,
-          {obs::threads_flag(&threads),
-           {"--checkpoint-dir DIR", &ckpt_dir,
-            "persist each grid point's result here"},
-           {"--resume", &resume,
-            "compute only the points missing from --checkpoint-dir"},
-           {"--crash-after N", &crash_after,
-            "exit 3 after N fresh points (0 = never; resume test)"}},
-          obs::sink::kPacket, &obs_flags))
+  if (const int rc = obs::parse_cli(argc, argv, {obs::threads_flag(&threads)},
+                                    obs::sink::kPacket, &obs_flags))
     return rc;
 
   const auto torus = net::make_mesh2d(8, 8, true);
@@ -157,22 +76,7 @@ int main(int argc, char** argv) {
     }
 
   const exp::SweepRunner runner({threads});
-  std::vector<net::PacketSimResult> results;
-  if (!ckpt_dir.empty()) {
-    exp::CheckpointStore store(ckpt_dir, "fig_fault_degradation");
-    if (!resume) store.clear();
-    const std::function<void(int)> on_fresh = [crash_after](int fresh) {
-      if (crash_after > 0 && fresh >= crash_after) {
-        std::fprintf(stderr, "crash-after: aborting after %d fresh points\n",
-                     fresh);
-        std::exit(3);
-      }
-    };
-    results = exp::map_checkpointed<net::PacketSimResult>(
-        runner, jobs, &store, encode_result, decode_result, on_fresh);
-  } else {
-    results = runner.map(jobs);
-  }
+  const std::vector<net::PacketSimResult> results = runner.map(jobs);
 
   std::cout << "== Fault degradation: drop rate vs delivered bandwidth "
                "(8x8 torus) ==\n\n"

@@ -2,7 +2,7 @@
 
 #include <atomic>
 
-#if !defined(LOGP_NO_SIMD) && (defined(__x86_64__) || defined(_M_X64)) && \
+#if (defined(__x86_64__) || defined(_M_X64)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define LOGP_SIMD_AVX2 1
 #include <immintrin.h>

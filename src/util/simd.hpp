@@ -4,14 +4,14 @@
 //
 //  * Byte-identity. Every vector kernel is specified by its scalar
 //    reference implementation (the *_scalar function beside it); the vector
-//    variants must reproduce it exactly, so SIMD-on and SIMD-off builds of
-//    the simulator produce bit-identical results (pinned by
-//    tests/test_simd.cpp and the packet-sim goldens).
-//  * Runtime dispatch. The repo builds for baseline x86-64, so AVX2 code is
-//    compiled behind `__attribute__((target("avx2")))` and selected at
-//    runtime via cpuid. `-DLOGP_NO_SIMD=ON` compiles the vector variants out
-//    entirely and every entry point collapses to its scalar reference;
-//    `set_force_scalar(true)` does the same at runtime so one test binary
+//    variants must reproduce it exactly, so the simulator's results do not
+//    depend on which variant ran (pinned by tests/test_simd.cpp and the
+//    packet-sim goldens).
+//  * Runtime dispatch. The repo builds for baseline x86-64, so vector code
+//    is compiled behind `__attribute__((target(...)))` and selected at
+//    runtime via cpuid. Targets without it (non-x86-64, or a compiler
+//    without GNU target attributes) compile only the scalar references;
+//    `set_force_scalar(true)` selects them at runtime, so one test binary
 //    can diff both paths in-process.
 #pragma once
 
@@ -20,10 +20,10 @@
 
 namespace logp::util::simd {
 
-/// True when vector kernels are compiled in at all (false under
-/// -DLOGP_NO_SIMD=ON or on non-x86-64 targets).
+/// True when vector kernels are compiled in at all (false on non-x86-64
+/// targets and on compilers without GNU target attributes).
 constexpr bool compiled_in() {
-#if defined(LOGP_NO_SIMD) || !(defined(__x86_64__) || defined(_M_X64)) || \
+#if !(defined(__x86_64__) || defined(_M_X64)) || \
     !(defined(__GNUC__) || defined(__clang__))
   return false;
 #else

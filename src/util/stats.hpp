@@ -24,25 +24,6 @@ class RunningStat {
   /// Merge another accumulator into this one (parallel-combine rule).
   void merge(const RunningStat& other);
 
-  /// Raw second central moment (sum of squared deviations). Together with
-  /// count/mean/sum/min/max this is the accumulator's complete state, which
-  /// checkpointed sweeps persist for an exact round-trip.
-  double m2() const { return m2_; }
-
-  /// Rebuilds an accumulator from raw state previously read out through the
-  /// accessors above — the inverse used when resuming from a checkpoint.
-  static RunningStat from_raw(std::int64_t n, double mean, double m2,
-                              double sum, double min, double max) {
-    RunningStat s;
-    s.n_ = n;
-    s.mean_ = mean;
-    s.m2_ = m2;
-    s.sum_ = sum;
-    s.min_ = n ? min : std::numeric_limits<double>::infinity();
-    s.max_ = n ? max : -std::numeric_limits<double>::infinity();
-    return s;
-  }
-
  private:
   std::int64_t n_ = 0;
   double mean_ = 0.0;

@@ -8,19 +8,14 @@
 //  * Loss accounting closes: a fully drained run leaves nothing undrained —
 //    every injection is either delivered or declared lost.
 //  * Degradation is monotone in the drop rate.
-//  * The checkpoint store round-trips payloads exactly (hex-float doubles)
-//    and map_checkpointed resumes to byte-identical results.
+//  * The batched verdict kernel agrees with the scalar per-event predicates.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "exp/checkpoint.hpp"
-#include "exp/sweep.hpp"
 #include "fault/fault.hpp"
 #include "net/packet_sim.hpp"
 #include "net/topology.hpp"
@@ -353,218 +348,6 @@ TEST(FaultPlan, VerdictMaskMatchesScalarPredicatesPerEvent) {
       EXPECT_EQ(mask.back() >> (n % 64), 0u) << "n=" << n;
     }
   }
-}
-
-// ---- checkpoint store ----------------------------------------------------
-
-std::string temp_dir(const char* tag) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("logp_ckpt_") + tag))
-      .string();
-}
-
-TEST(Checkpoint, KvRoundTripIsExact) {
-  exp::KvFields f;
-  f.emplace_back("int", exp::kv_int(-9223372036854775807LL));
-  f.emplace_back("pi", exp::kv_double(3.141592653589793));
-  f.emplace_back("tiny", exp::kv_double(4.9406564584124654e-324));
-  f.emplace_back("neg", exp::kv_double(-0.0));
-  f.emplace_back("text", "with \"quotes\" and \\slashes\\ and\nnewline");
-  const auto decoded = exp::kv_decode(exp::kv_encode(f));
-  ASSERT_EQ(decoded.size(), f.size());
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    EXPECT_EQ(decoded[i].first, f[i].first);
-    EXPECT_EQ(decoded[i].second, f[i].second);
-  }
-  EXPECT_EQ(exp::kv_parse_int(exp::kv_get(decoded, "int")),
-            -9223372036854775807LL);
-  EXPECT_EQ(exp::kv_parse_double(exp::kv_get(decoded, "pi")),
-            3.141592653589793);
-  EXPECT_EQ(exp::kv_parse_double(exp::kv_get(decoded, "tiny")),
-            4.9406564584124654e-324);
-  EXPECT_THROW(exp::kv_get(decoded, "absent"), util::check_error);
-  EXPECT_THROW(exp::kv_decode("not json"), util::check_error);
-}
-
-TEST(Checkpoint, StoreLoadsOnlyPublishedPoints) {
-  const std::string dir = temp_dir("store");
-  std::filesystem::remove_all(dir);
-  exp::CheckpointStore store(dir, "runA");
-  std::string payload;
-  EXPECT_FALSE(store.load(0, &payload));
-  store.store(0, "{\"x\":\"1\"}");
-  store.store(7, "{\"x\":\"7\"}");
-  ASSERT_TRUE(store.load(0, &payload));
-  EXPECT_EQ(payload, "{\"x\":\"1\"}");
-  ASSERT_TRUE(store.load(7, &payload));
-  EXPECT_EQ(payload, "{\"x\":\"7\"}");
-  EXPECT_FALSE(store.load(1, &payload));
-  // Distinct run keys do not see each other's manifests.
-  exp::CheckpointStore other(dir, "runB");
-  EXPECT_FALSE(other.load(0, &payload));
-  // clear() removes exactly this run's points.
-  other.store(0, "{}");
-  store.clear();
-  EXPECT_FALSE(store.load(0, &payload));
-  EXPECT_TRUE(other.load(0, &payload));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Checkpoint, MapCheckpointedResumesByteIdentically) {
-  const std::string dir = temp_dir("resume");
-  std::filesystem::remove_all(dir);
-  const exp::SweepRunner runner({1, 1});
-  std::vector<std::function<std::int64_t()>> jobs;
-  int computed = 0;
-  for (std::int64_t i = 0; i < 10; ++i)
-    jobs.push_back([i, &computed] {
-      ++computed;
-      return i * i + 1;
-    });
-  const std::function<std::string(const std::int64_t&)> enc =
-      [](const std::int64_t& v) {
-        return exp::kv_encode({{"v", exp::kv_int(v)}});
-      };
-  const std::function<std::int64_t(const std::string&)> dec =
-      [](const std::string& s) {
-        return exp::kv_parse_int(exp::kv_get(exp::kv_decode(s), "v"));
-      };
-
-  const auto plain = runner.map(jobs);
-  EXPECT_EQ(computed, 10);
-
-  // First pass publishes every point...
-  computed = 0;
-  exp::CheckpointStore store(dir, "sq");
-  const auto first = exp::map_checkpointed<std::int64_t>(runner, jobs, &store,
-                                                         enc, dec);
-  EXPECT_EQ(computed, 10);
-  EXPECT_EQ(first, plain);
-
-  // ...a "crashed" rerun with some manifests deleted recomputes only those
-  // and still returns the identical vector.
-  std::filesystem::remove(store.path(3));
-  std::filesystem::remove(store.path(8));
-  computed = 0;
-  const auto resumed = exp::map_checkpointed<std::int64_t>(runner, jobs,
-                                                           &store, enc, dec);
-  EXPECT_EQ(computed, 2);
-  EXPECT_EQ(resumed, plain);
-
-  // A fully-cached rerun computes nothing.
-  computed = 0;
-  const auto cached = exp::map_checkpointed<std::int64_t>(runner, jobs, &store,
-                                                          enc, dec);
-  EXPECT_EQ(computed, 0);
-  EXPECT_EQ(cached, plain);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Checkpoint, DurablePublishOverwritesStaleTmpAndRoundTrips) {
-  // store() now fsyncs the tmp file before the rename and the directory
-  // after it. The observable contract is unchanged — a stale tmp left by a
-  // crashed publish is overwritten, never read — and the published bytes
-  // round-trip exactly.
-  const std::string dir = temp_dir("durable");
-  std::filesystem::remove_all(dir);
-  exp::CheckpointStore store(dir, "d");
-  {
-    // Simulate a crash mid-publish: a torn tmp file and no manifest.
-    std::ofstream f(store.path(2) + ".tmp", std::ios::binary | std::ios::trunc);
-    f << "{\"v\":\"gar";
-  }
-  std::string payload;
-  EXPECT_FALSE(store.load(2, &payload));  // tmp files are never read
-  store.store(2, "{\"v\":\"42\"}");
-  ASSERT_TRUE(store.load(2, &payload));
-  EXPECT_EQ(payload, "{\"v\":\"42\"}");
-  // The rename consumed the tmp: nothing stale left to confuse a resume.
-  EXPECT_FALSE(std::filesystem::exists(store.path(2) + ".tmp"));
-  EXPECT_EQ(store.corrupt_count(), 0);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Checkpoint, CorruptManifestIsSkippedAndRecomputed) {
-  // A crash racing the tmp+rename publish (or plain disk rot) can leave a
-  // truncated or garbled manifest. --resume must recompute that point with
-  // a warning counter, not die on it.
-  const std::string dir = temp_dir("corrupt");
-  std::filesystem::remove_all(dir);
-  const exp::SweepRunner runner({1, 1});
-  std::vector<std::function<std::int64_t()>> jobs;
-  int computed = 0;
-  for (std::int64_t i = 0; i < 6; ++i)
-    jobs.push_back([i, &computed] {
-      ++computed;
-      return i * 10;
-    });
-  const std::function<std::string(const std::int64_t&)> enc =
-      [](const std::int64_t& v) {
-        return exp::kv_encode({{"v", exp::kv_int(v)}});
-      };
-  const std::function<std::int64_t(const std::string&)> dec =
-      [](const std::string& s) {
-        return exp::kv_parse_int(exp::kv_get(exp::kv_decode(s), "v"));
-      };
-
-  exp::CheckpointStore store(dir, "c");
-  const auto first = exp::map_checkpointed<std::int64_t>(runner, jobs, &store,
-                                                         enc, dec);
-  EXPECT_EQ(computed, 6);
-  EXPECT_EQ(store.corrupt_count(), 0);
-
-  // Truncate one manifest mid-line, garble another, empty a third.
-  {
-    std::ofstream f(store.path(1), std::ios::binary | std::ios::trunc);
-    f << "{\"v\":\"1";  // torn write: unterminated string
-  }
-  {
-    std::ofstream f(store.path(3), std::ios::binary | std::ios::trunc);
-    f << "{\"w\":\"30\"}";  // decodes but lacks the field: decode throws
-  }
-  {
-    std::ofstream f(store.path(4), std::ios::binary | std::ios::trunc);
-  }
-  computed = 0;
-  const auto resumed = exp::map_checkpointed<std::int64_t>(runner, jobs,
-                                                           &store, enc, dec);
-  EXPECT_EQ(resumed, first);
-  EXPECT_EQ(computed, 3);  // exactly the damaged points
-  EXPECT_EQ(store.corrupt_count(), 3);
-
-  // The recompute republished them: a further resume is fully cached.
-  computed = 0;
-  (void)exp::map_checkpointed<std::int64_t>(runner, jobs, &store, enc, dec);
-  EXPECT_EQ(computed, 0);
-  EXPECT_EQ(store.corrupt_count(), 3);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Checkpoint, OnFreshCountsOnlyComputedPoints) {
-  const std::string dir = temp_dir("fresh");
-  std::filesystem::remove_all(dir);
-  const exp::SweepRunner runner({1, 1});
-  std::vector<std::function<std::int64_t()>> jobs;
-  for (std::int64_t i = 0; i < 5; ++i) jobs.push_back([i] { return i; });
-  const std::function<std::string(const std::int64_t&)> enc =
-      [](const std::int64_t& v) {
-        return exp::kv_encode({{"v", exp::kv_int(v)}});
-      };
-  const std::function<std::int64_t(const std::string&)> dec =
-      [](const std::string& s) {
-        return exp::kv_parse_int(exp::kv_get(exp::kv_decode(s), "v"));
-      };
-  exp::CheckpointStore store(dir, "n");
-  std::vector<int> seen;
-  (void)exp::map_checkpointed<std::int64_t>(
-      runner, jobs, &store, enc, dec, [&seen](int n) { seen.push_back(n); });
-  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3, 4, 5}));
-  // Resume with everything cached: the hook never fires.
-  seen.clear();
-  (void)exp::map_checkpointed<std::int64_t>(
-      runner, jobs, &store, enc, dec, [&seen](int n) { seen.push_back(n); });
-  EXPECT_TRUE(seen.empty());
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -282,6 +282,21 @@ PacketSimResult run_faulted_side(const Topology& topo, PacketSimConfig cfg,
   return r;
 }
 
+/// Runs a faulted config SIMD-on and forced-scalar through run_faulted_side
+/// and expects byte-identical results and telemetry. Returns the SIMD side's
+/// result so a case can prove its faults actually fired.
+PacketSimResult expect_faulted_sides_identical(const Topology& topo,
+                                               const PacketSimConfig& cfg) {
+  obs::NetTelemetry telem_on;
+  telem_on.sample_every = 500;
+  const auto on = run_faulted_side(topo, cfg, false, telem_on);
+  obs::NetTelemetry telem_off;
+  telem_off.sample_every = 500;
+  const auto off = run_faulted_side(topo, cfg, true, telem_off);
+  expect_identical(on, telem_on, off, telem_off);
+  return on;
+}
+
 TEST(PacketSim, SaturationFlagStableAcrossIdenticalRuns) {
   // Hotspot traffic at an aggressive rate with a tight drain limit: the run
   // saturates mid-flight (events parked past the drain limit), and the flag,
@@ -333,11 +348,14 @@ TEST(PacketSim, IdenticalRunsBitForBit) {
 
 TEST(PacketSim, SimdOnOffByteIdenticalEverywhere) {
   // The vector kernels must be invisible: forcing every kernel through its
-  // scalar reference (the same code path -DLOGP_NO_SIMD=ON compiles) has to
-  // reproduce the SIMD run bit-for-bit — full result surface plus telemetry
-  // — for every pattern x topology pair. FatTree4(64, 2) is the
-  // load-bearing topology: its multi-channel links exercise the SIMD
-  // first-minimum channel arbitration (and its equal-cycle tie-break).
+  // scalar reference has to reproduce the SIMD run bit-for-bit — full
+  // result surface plus telemetry — for every pattern x topology pair.
+  // These runs carry no fault plan, so no vector kernel runs on either side
+  // (decide_hash_u64, the only one, hashes fault verdicts): this pins that
+  // the switch itself perturbs nothing on the fault-free path.
+  // FatTree4(64, 2) is the load-bearing topology: its multi-channel links
+  // exercise the first-minimum channel arbitration (and its equal-cycle
+  // tie-break).
   struct Case {
     const char* name;
     std::unique_ptr<Topology> topo;
@@ -373,24 +391,42 @@ TEST(PacketSim, SimdOnOffByteIdenticalUnderActiveFaultPlan) {
   // against its strictly-ordered reference: drops, corruption, retries and
   // a degraded link must not perturb byte-identity between the SIMD side
   // (batch verdicts, survivor chains) and the forced-scalar side (one event
-  // at a time in canonical order).
-  const auto topo = make_fat_tree4(64, 2);
-  fault::FaultPlan plan;
-  plan.drop_rate = 0.05;
-  plan.corrupt_rate = 0.02;
-  plan.retry_timeout = 64;
-  plan.max_retries = 3;
-  plan.link_faults.push_back({0, 64, 2000, 6000, 4});
-  PacketSimConfig base = golden_config(TrafficPattern::kUniform);
-  base.faults = &plan;
-  obs::NetTelemetry telem_on;
-  telem_on.sample_every = 500;
-  const auto on = run_faulted_side(*topo, base, false, telem_on);
-  obs::NetTelemetry telem_off;
-  telem_off.sample_every = 500;
-  const auto off = run_faulted_side(*topo, base, true, telem_off);
-  EXPECT_GT(on.dropped + on.corrupted, 0);
-  expect_identical(on, telem_on, off, telem_off);
+  // at a time in canonical order). Forcing scalar does more than pick the
+  // scalar hash: it moves every faulted window onto the ordered reference
+  // kernel, which no build configuration selects on its own.
+  {
+    SCOPED_TRACE("fattree64t2");
+    const auto topo = make_fat_tree4(64, 2);
+    fault::FaultPlan plan;
+    plan.drop_rate = 0.05;
+    plan.corrupt_rate = 0.02;
+    plan.retry_timeout = 64;
+    plan.max_retries = 3;
+    plan.link_faults.push_back({0, 64, 2000, 6000, 4});
+    PacketSimConfig base = golden_config(TrafficPattern::kUniform);
+    base.faults = &plan;
+    const auto on = expect_faulted_sides_identical(*topo, base);
+    EXPECT_GT(on.dropped + on.corrupted, 0);
+  }
+  {
+    // fig_fault_degradation's harshest cell: 10% loss at the grid's top
+    // load on the 8x8 torus, up to six retries, over the bench's full
+    // 30000-cycle run. Retransmits keep the batch kernel's verdict hashing
+    // busy in every window of a long, congested run.
+    SCOPED_TRACE("torus8x8 drop 0.1 load 0.08");
+    const auto topo = make_mesh2d(8, 8, true);
+    PacketSimConfig base;
+    base.duration = 30000;
+    base.injection_rate = 0.08;
+    fault::FaultPlan plan;
+    plan.drop_rate = 0.1;
+    plan.retry_timeout = 4 * lookahead(base);
+    plan.max_retries = 6;
+    base.faults = &plan;
+    const auto on = expect_faulted_sides_identical(*topo, base);
+    EXPECT_GT(on.dropped, 0);
+    EXPECT_GT(on.retransmitted, 0);
+  }
 }
 
 TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
@@ -443,12 +479,7 @@ TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
     SCOPED_TRACE(c.name);
     PacketSimConfig base = golden_config(TrafficPattern::kUniform);
     base.faults = &c.plan;
-    obs::NetTelemetry telem_on;
-    telem_on.sample_every = 500;
-    const auto on = run_faulted_side(*topo, base, false, telem_on);
-    obs::NetTelemetry telem_off;
-    telem_off.sample_every = 500;
-    const auto off = run_faulted_side(*topo, base, true, telem_off);
+    const auto on = expect_faulted_sides_identical(*topo, base);
     if (c.wants_dropped) {
       EXPECT_GT(on.dropped, 0);
     }
@@ -462,7 +493,6 @@ TEST(PacketSim, SimdOnOffByteIdenticalPerFaultType) {
       EXPECT_NE(on.latency.mean(), clean.latency.mean())
           << "plan should perturb timing even without losses";
     }
-    expect_identical(on, telem_on, off, telem_off);
   }
 }
 

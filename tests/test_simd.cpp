@@ -10,8 +10,9 @@
 //  * negative_mask_i32_stride must produce bit-exact delivery masks with
 //    all bits >= n zero, for any stride (the engine uses the WEvent stride).
 //
-// Everything here also passes under -DLOGP_NO_SIMD=ON, where each dispatch
-// collapses to the scalar reference and the comparisons become trivial.
+// Everything here also passes where no vector variant can run (a target
+// without AVX2, or under set_force_scalar): each dispatch then collapses to
+// the scalar reference and the comparisons become trivial.
 #include <gtest/gtest.h>
 
 #include <algorithm>
